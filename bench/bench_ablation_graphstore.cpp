@@ -131,8 +131,8 @@ void BM_PatternQuery(benchmark::State& state) {
       "MATCH (c:Entity)-[:wasGeneratedBy]->(e:Activity)-[:used]->(p:Entity) "
       "RETURN c, p").take();
   for (auto _ : state) {
-    auto rows = graphstore::run_query(graph, query);
-    benchmark::DoNotOptimize(rows.ok());
+    auto table = graphstore::execute_query(graph, query);
+    benchmark::DoNotOptimize(table.ok());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -140,8 +140,8 @@ BENCHMARK(BM_PatternQuery)->Arg(10)->Arg(100)->Arg(1000)->Unit(benchmark::kMicro
 
 /// The same pattern run through the reference matcher (full scan, no
 /// anchor selection, no reversal, no condition pushdown): the planner's
-/// ablation baseline. run_query == run_query_brute_force row-for-row;
-/// only the work to get there differs.
+/// ablation baseline. execute_query == execute_query_brute_force
+/// row-for-row; only the work to get there differs.
 void BM_PatternQueryBruteForce(benchmark::State& state) {
   graphstore::PropertyGraph graph;
   const prov::Document doc = synthetic_run(static_cast<int>(state.range(0)));
@@ -150,8 +150,8 @@ void BM_PatternQueryBruteForce(benchmark::State& state) {
       "MATCH (c:Entity)-[:wasGeneratedBy]->(e:Activity)-[:used]->(p:Entity) "
       "RETURN c, p").take();
   for (auto _ : state) {
-    auto rows = graphstore::run_query_brute_force(graph, query);
-    benchmark::DoNotOptimize(rows.ok());
+    auto table = graphstore::execute_query_brute_force(graph, query);
+    benchmark::DoNotOptimize(table.ok());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -176,9 +176,9 @@ void BM_SelectiveQuery(benchmark::State& state) {
   const auto query = graphstore::parse_query(text).take();
   const bool brute = state.range(1) != 0;
   for (auto _ : state) {
-    auto rows = brute ? graphstore::run_query_brute_force(graph, query)
-                      : graphstore::run_query(graph, query);
-    benchmark::DoNotOptimize(rows.ok());
+    auto table = brute ? graphstore::execute_query_brute_force(graph, query)
+                       : graphstore::execute_query(graph, query);
+    benchmark::DoNotOptimize(table.ok());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -2,8 +2,8 @@
 // cost-based executor buys over the brute-force reference evaluator the
 // differential suites compare it against (`ctest -L query`): indexed
 // anchoring + BFS for variable-length paths vs DFS path enumeration over
-// a full scan, incremental aggregation vs full materialization, and
-// top-k partial sort for ORDER BY/LIMIT vs sorting every row. The two
+// a full scan, incremental aggregation vs full materialization, and a
+// bounded top-k heap for ORDER BY/LIMIT vs sorting every row. The two
 // sides return identical tables by construction, so every pair below is
 // a pure cost comparison.
 #include <benchmark/benchmark.h>
@@ -132,9 +132,9 @@ void BM_GroupedAggregateBrute(benchmark::State& state) {
 BENCHMARK(BM_GroupedAggregateBrute)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 /// ORDER BY prov_id LIMIT 5 over every entity: with a LIMIT the executor
-/// partial-sorts the top k of the row set; the reference evaluator fully
-/// sorts before paging. Same comparator, same rows — latency is the only
-/// difference.
+/// keeps the top k rows in a bounded heap as the walk streams them; the
+/// reference evaluator fully sorts before paging. Same comparator, same
+/// rows — latency is the only difference.
 void BM_TopKOrderByPlanned(benchmark::State& state) {
   const graphstore::PropertyGraph graph =
       ingested(static_cast<int>(state.range(0)));

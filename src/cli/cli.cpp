@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,8 +33,6 @@
 
 namespace provml::cli {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Splits args into positionals and --key value options.
 struct ParsedArgs {
@@ -159,23 +156,8 @@ int cmd_ingest(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Mutations go through the WAL, so every ingested document is durable
   // the moment its line prints — a crash mid-batch keeps the prefix.
   graphstore::YProvService service;
-  const bool legacy_only = !wal::store_exists(store_dir) &&
-                           fs::exists(fs::path(store_dir) / "index.json");
   Status attached = service.attach_wal(store_dir);
   if (!attached.ok()) return fail(err, attached.error().to_string());
-  if (legacy_only) {
-    // Upgrade path: replay the legacy index.json store into the WAL once.
-    auto loaded = graphstore::YProvService::load(store_dir);
-    if (!loaded.ok()) return fail(err, loaded.error().to_string());
-    for (const std::string& name : loaded.value().list_documents()) {
-      const prov::Document* doc = loaded.value().get_document(name);
-      if (doc == nullptr) continue;
-      Status s = service.put_document(name, *doc);
-      if (!s.ok()) return fail(err, s.error().to_string());
-    }
-    out << "migrated legacy store (" << loaded.value().document_count()
-        << " document(s)) to the WAL layout\n";
-  }
   for (std::size_t i = 1; i < args.positional.size(); ++i) {
     const std::string& pair = args.positional[i];
     const std::size_t eq = pair.find('=');
@@ -676,15 +658,6 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
   net::YProvHttpApp app(graphstore::YProvService(shards), app_options);
   if (!data_dir.empty()) {
-    // Pre-WAL stores only hold index.json; migrate them through load().
-    if (!wal::store_exists(data_dir) &&
-        fs::exists(fs::path(data_dir) / "index.json")) {
-      auto legacy = graphstore::YProvService::load(data_dir);
-      if (!legacy.ok()) return fail(err, legacy.error().to_string());
-      Status migrated = legacy.value().save(data_dir);
-      if (!migrated.ok()) return fail(err, migrated.error().to_string());
-      out << "migrated legacy store at " << data_dir << " to the WAL layout\n";
-    }
     Status attached = app.service().attach_wal(data_dir, wal_options);
     if (!attached.ok()) return fail(err, attached.error().to_string());
     out << "loaded " << app.service().document_count() << " document(s) from "

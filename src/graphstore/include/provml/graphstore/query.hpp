@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -114,10 +113,6 @@ struct Query {
 /// Parses the query text. Errors carry a byte offset in `where`.
 [[nodiscard]] Expected<Query> parse_query(const std::string& text);
 
-/// One result row of the binding-level API: returned variable → matched
-/// node. Only meaningful for aggregate-free queries.
-using Row = std::map<std::string, NodeId>;
-
 /// A fully evaluated result table: one column per RETURN item, cells are
 /// JSON values. Plain-variable columns hold the bound NodeId as an
 /// integer and are flagged is_node so callers can render them as prov
@@ -146,8 +141,9 @@ struct ResultSet {
 /// share the one definition (it is the spec, not an optimization).
 [[nodiscard]] int compare_values(const json::Value& a, const json::Value& b);
 
-/// How run_query() decided to anchor the path match. Exposed for tests and
-/// benches; explain_query() fills it without executing.
+/// How the planner anchors the path match and which end the walk starts
+/// from. explain_query() fills it without executing; QueryCursor::open()
+/// follows it (see the orientation rule there).
 struct QueryPlan {
   enum class Anchor { kScanAll, kLabel, kProperty } anchor = Anchor::kScanAll;
   std::string label;            ///< chosen label (kLabel/kProperty)
@@ -169,10 +165,8 @@ struct QueryPlan {
 /// picks the cheaper orientation.
 [[nodiscard]] QueryPlan explain_query(const PropertyGraph& graph, const Query& query);
 
-/// Executes a parsed query against `graph` through the planner: indexed
-/// anchor choice, cost-based endpoint reversal, WHERE pushdown, BFS
-/// variable-length expansion, incremental aggregation, and top-k ORDER
-/// BY/LIMIT. The result is deterministic (see ResultSet).
+/// Executes a parsed query against `graph`: opens a QueryCursor and
+/// drains it. The result is deterministic (see ResultSet).
 [[nodiscard]] Expected<ResultSet> execute_query(const PropertyGraph& graph,
                                                 const Query& query);
 
@@ -188,22 +182,23 @@ struct QueryPlan {
 [[nodiscard]] Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
                                                             const Query& query);
 
-/// Pull-based streaming executor: the cursor form of execute_query().
-/// Pages pulled with next() concatenate to exactly the table
-/// execute_query() returns — same columns, same rows, same order — but
-/// the work is done lazily:
+/// Pull-based executor — the only planned way a MATCH runs; execute_query()
+/// is open-and-drain. Pages pulled with next() concatenate to exactly the
+/// table execute_query() returns. open() plans the query (indexed anchor,
+/// cost-based endpoint reversal, WHERE pushdown, BFS variable-length
+/// expansion) and walks the pattern depth-first with sorted-unique
+/// children, so complete paths arrive in the canonical ascending order.
+/// Orientation: a plain query (no aggregate, no ORDER BY) walks forward
+/// when its LIMIT is finite or the plan is forward; every other query
+/// walks the way explain_query() chose, and a reversed walk is collected
+/// and sorted back into canonical order on open. Rows are deduplicated on
+/// the projected bindings and then reach exactly one sink:
 ///
-///   · Without ORDER BY or aggregates, the match runs as an incremental
-///     depth-first walk in *forward* orientation with sorted-unique
-///     children at every step, which emits complete paths in ascending
-///     lexicographic order — the batch engine's canonical order — so
-///     rows stream out one binding at a time and a page costs O(page)
-///     walk work, not O(result). Projection pushdown: only the RETURNed
-///     bindings are ever copied out of a path, and the row-dedup set is
-///     skipped entirely when the projection is injective.
-///   · With ORDER BY, rows materialize through the top-k partial sort
-///     (bounded by SKIP+LIMIT) once, then release incrementally.
-///   · Aggregates fold fully on open and stream their grouped rows out.
+///   · plain projection streams: a page costs O(page) walk work, not
+///     O(result), and only the RETURNed bindings are copied out of a path;
+///   · aggregates fold into per-group accumulators as rows arrive, on open;
+///   · ORDER BY keeps only SKIP+LIMIT rows in a bounded heap (a full sort
+///     only without LIMIT), on open — aggregate groups pass the same heap.
 ///
 /// A cursor holds a pointer into the graph and no locks: callers that
 /// share the graph must pin it (the service pins cursors to a
@@ -230,8 +225,8 @@ class QueryCursor {
   /// True once every result row has been handed out.
   [[nodiscard]] bool done() const;
 
-  /// True when rows are produced lazily per binding (no ORDER BY, no
-  /// aggregates); false when the cursor pages over a materialized table.
+  /// True when rows are produced lazily per binding (a plain query walked
+  /// forward); false when the cursor pages over a table built on open.
   [[nodiscard]] bool streaming() const;
 
  private:
@@ -239,22 +234,6 @@ class QueryCursor {
   explicit QueryCursor(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
-
-/// Binding-level execution for aggregate-free queries (errors when the
-/// RETURN list aggregates): rows of returned variable → NodeId, honoring
-/// ORDER BY/SKIP/LIMIT. Kept for callers that need node identity.
-[[nodiscard]] Expected<std::vector<Row>> run_query(const PropertyGraph& graph,
-                                                   const Query& query);
-
-/// Convenience: parse + run.
-[[nodiscard]] Expected<std::vector<Row>> run_query(const PropertyGraph& graph,
-                                                   const std::string& text);
-
-/// Binding-level reference matcher, the historical oracle: full scan, no
-/// index, no reversal, post-filtered WHERE. The property/fuzz suites
-/// assert run_query == run_query_brute_force row-for-row.
-[[nodiscard]] Expected<std::vector<Row>> run_query_brute_force(const PropertyGraph& graph,
-                                                               const Query& query);
 
 /// One hop of a variable-length BFS expansion, in discovery order.
 struct ReachHop {

@@ -149,6 +149,7 @@ class YProvService {
   /// subsequent successful mutation *before* acknowledging it, under the
   /// same exclusive stripe lock that applies it. After a crash, attach_wal
   /// on the same dir restores exactly the acknowledged mutation prefix.
+  /// A pre-WAL directory (index.json, no WAL files) is refused.
   [[nodiscard]] Status attach_wal(const std::string& dir, wal::Options options = {});
   [[nodiscard]] bool wal_attached() const { return wal_ != nullptr; }
   /// Durability counters for /api/v0/health; zeroed when no WAL attached.
@@ -160,11 +161,11 @@ class YProvService {
   /// With a WAL attached and `dir` == its directory this is compaction;
   /// otherwise it replaces whatever store lives at `dir`.
   [[nodiscard]] Status save(const std::string& dir) const;
-  /// Restores a service from a WAL store dir (newest snapshot + log tail);
-  /// falls back to the legacy index.json layout for pre-WAL stores. The
+  /// Restores a service from a WAL store dir (newest snapshot + log tail).
+  /// A pre-WAL directory (index.json, no WAL files) is an error. The
   /// returned service is detached — use attach_wal() to keep logging.
   [[nodiscard]] static Expected<YProvService> load(const std::string& dir);
-  /// Whether `dir` holds a loadable store in either layout.
+  /// Whether `dir` holds a WAL store.
   [[nodiscard]] static bool store_exists(const std::string& dir);
 
  private:

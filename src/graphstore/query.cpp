@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -611,13 +612,6 @@ QueryPlan plan_anchor(const PropertyGraph& graph, const NodePattern& pattern) {
   return plan;
 }
 
-/// Fraction of the node table a pattern's cheapest posting list selects.
-double pattern_selectivity(const PropertyGraph& graph, const NodePattern& pattern) {
-  if (graph.node_count() == 0) return 0.0;
-  return static_cast<double>(plan_anchor(graph, pattern).estimated_candidates) /
-         static_cast<double>(graph.node_count());
-}
-
 /// Average per-node fan-out of one edge step, from the per-type edge
 /// counters (untyped steps use the whole edge table). Undirected steps see
 /// both endpoints. Variable-length steps sum the per-length fan-out over
@@ -642,16 +636,29 @@ double edge_fanout(const PropertyGraph& graph, const EdgePattern& edge) {
 }
 
 /// Frontier-size walk along the path in the given orientation: the anchor
-/// posting list, then fan-out × next-pattern selectivity per step. Returns
-/// the plan for that orientation with estimated_rows (final frontier) and
-/// estimated_cost (sum of frontiers — the work of getting there).
-QueryPlan estimate_orientation(const PropertyGraph& graph, const Query& query) {
-  QueryPlan plan = plan_anchor(graph, query.nodes.front());
+/// posting list, then fan-out × next-pattern selectivity per step (a
+/// pattern's selectivity is the fraction of the node table its cheapest
+/// posting list selects). `anchors` holds plan_anchor() of every node.
+/// Returns the plan for that orientation with estimated_rows (final
+/// frontier) and estimated_cost (sum of frontiers — the work of getting
+/// there). Edge direction does not enter the estimate, so the reversed
+/// orientation is the same pattern read back to front.
+QueryPlan estimate_orientation(const PropertyGraph& graph, const Query& query,
+                               const std::vector<QueryPlan>& anchors, bool reversed) {
+  const std::size_t n = query.nodes.size();
+  const auto at = [&](std::size_t step) { return reversed ? n - 1 - step : step; };
+  const double node_count = static_cast<double>(graph.node_count());
+  QueryPlan plan = anchors[at(0)];
+  plan.reversed = reversed;
   double rows = static_cast<double>(plan.estimated_candidates);
   double cost = rows;
-  for (std::size_t i = 1; i < query.nodes.size(); ++i) {
-    rows *= edge_fanout(graph, query.edges[i - 1]) *
-            pattern_selectivity(graph, query.nodes[i]);
+  for (std::size_t step = 1; step < n; ++step) {
+    const EdgePattern& edge = query.edges[reversed ? n - 1 - step : step - 1];
+    const double selectivity =
+        node_count == 0.0
+            ? 0.0
+            : static_cast<double>(anchors[at(step)].estimated_candidates) / node_count;
+    rows *= edge_fanout(graph, edge) * selectivity;
     cost += rows;
   }
   plan.estimated_rows = rows;
@@ -674,17 +681,6 @@ std::vector<NodeId> anchor_pool(const PropertyGraph& graph, const NodePattern& p
                         *pattern.properties.find(plan.property_key));
   }
   return {};
-}
-
-/// Candidate nodes for the pattern per `plan`, fully re-checked against the
-/// whole pattern (the index narrows, node_matches decides).
-std::vector<NodeId> candidates(const PropertyGraph& graph, const NodePattern& pattern,
-                               const QueryPlan& plan) {
-  std::vector<NodeId> pool = anchor_pool(graph, pattern, plan);
-  pool.erase(std::remove_if(pool.begin(), pool.end(),
-                            [&](NodeId id) { return !node_matches(graph, id, pattern); }),
-             pool.end());
-  return pool;
 }
 
 /// Conditions attached to the node-pattern position they prune, preserving
@@ -729,35 +725,8 @@ Query reverse_query(const Query& query) {
   return reversed;
 }
 
-/// Depth-first path expansion with WHERE pushdown: a frontier node must
-/// satisfy both its pattern and every condition bound to its position, so
-/// non-matching paths are pruned during expansion instead of post-filtered.
-/// Variable-length steps expand through var_targets_planned.
-void extend(const PropertyGraph& graph, const Query& query,
-            const std::vector<std::vector<const Condition*>>& conds, std::size_t depth,
-            std::vector<NodeId>& path, std::set<std::vector<NodeId>>& results) {
-  if (depth == query.nodes.size()) {
-    results.insert(path);
-    return;
-  }
-  const EdgePattern& edge = query.edges[depth - 1];
-  const std::vector<NodeId> nexts =
-      edge.variable ? var_targets_planned(graph, path.back(), edge)
-                    : graph.neighbors(path.back(), edge.direction, edge.type);
-  for (const NodeId next : nexts) {
-    if (!node_matches(graph, next, query.nodes[depth])) continue;
-    const bool pruned = std::any_of(
-        conds[depth].begin(), conds[depth].end(),
-        [&](const Condition* c) { return !condition_holds_impl(graph, next, *c); });
-    if (pruned) continue;
-    path.push_back(next);
-    extend(graph, query, conds, depth + 1, path, results);
-    path.pop_back();
-  }
-}
-
-/// The oracle's expansion: same shape, no pushdown, DFS variable-length
-/// enumeration.
+/// The oracle's expansion: recursive, no WHERE pushdown, DFS
+/// variable-length enumeration.
 void extend_brute(const PropertyGraph& graph, const Query& query, std::size_t depth,
                   std::vector<NodeId>& path, std::set<std::vector<NodeId>>& results) {
   if (depth == query.nodes.size()) {
@@ -787,9 +756,11 @@ std::set<std::string> relevant_vars(const Query& query) {
   return vars;
 }
 
-/// Deterministic row assembly shared by the planner and brute-force paths:
-/// paths are in original pattern orientation, rows ordered by path order,
-/// deduplicated on the projected bindings.
+/// The oracle's binding row: returned variable → matched node.
+using Row = std::map<std::string, NodeId>;
+
+/// The oracle's row assembly: paths are in original pattern orientation,
+/// rows ordered by path order, deduplicated on the projected bindings.
 std::vector<Row> rows_from_paths(const Query& query,
                                  const std::set<std::vector<NodeId>>& paths) {
   const std::set<std::string> vars = relevant_vars(query);
@@ -813,9 +784,8 @@ json::Value node_property(const PropertyGraph& graph, NodeId id, const std::stri
   return v != nullptr ? *v : json::Value(nullptr);
 }
 
-/// Streaming accumulator for one aggregate column — the planner's
-/// aggregate pushdown: rows fold in one at a time, nothing per-group is
-/// materialized.
+/// Streaming accumulator for one aggregate column: rows fold in one at a
+/// time, given the node bound to the column's variable.
 struct AggAccumulator {
   std::int64_t count = 0;
   json::Value extreme;          // min/max; null until the first real value
@@ -823,10 +793,10 @@ struct AggAccumulator {
   double sum = 0.0;
   std::int64_t numeric = 0;
 
-  void fold(const ReturnItem& item, const PropertyGraph& graph, const Row& row) {
+  void fold(const ReturnItem& item, const PropertyGraph& graph, NodeId bound) {
     ++count;
     if (item.agg == ReturnItem::Agg::kCount) return;
-    const json::Value v = node_property(graph, row.at(item.var), item.key);
+    const json::Value v = node_property(graph, bound, item.key);
     if (v.is_null()) return;
     if (item.agg == ReturnItem::Agg::kAvg) {
       if (v.is_number()) {
@@ -869,52 +839,6 @@ std::vector<ResultSet::Column> result_columns(const Query& query) {
   return columns;
 }
 
-/// Group binding rows by the tuple of un-aggregated RETURN variables and
-/// fold every aggregate column. Group order is ascending group key. With
-/// no grouping variables and no rows, aggregates still produce one row
-/// (count() over nothing is 0).
-std::vector<std::vector<json::Value>> aggregate_rows(const PropertyGraph& graph,
-                                                     const Query& query,
-                                                     const std::vector<Row>& rows) {
-  std::vector<const ReturnItem*> group_items;
-  for (const ReturnItem& item : query.returns) {
-    if (item.agg == ReturnItem::Agg::kNone) group_items.push_back(&item);
-  }
-  std::map<std::vector<NodeId>, std::vector<AggAccumulator>> groups;
-  for (const Row& row : rows) {
-    std::vector<NodeId> key;
-    key.reserve(group_items.size());
-    for (const ReturnItem* item : group_items) key.push_back(row.at(item->var));
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), query.returns.size(), AggAccumulator{});
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      if (query.returns[c].agg != ReturnItem::Agg::kNone) {
-        it->second[c].fold(query.returns[c], graph, row);
-      }
-    }
-  }
-  if (groups.empty() && group_items.empty()) {
-    groups.try_emplace(std::vector<NodeId>{},
-                       std::vector<AggAccumulator>(query.returns.size()));
-  }
-  std::vector<std::vector<json::Value>> out;
-  out.reserve(groups.size());
-  for (const auto& [key, accs] : groups) {
-    std::vector<json::Value> cells;
-    cells.reserve(query.returns.size());
-    std::size_t group_cursor = 0;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      if (query.returns[c].agg == ReturnItem::Agg::kNone) {
-        cells.emplace_back(static_cast<std::int64_t>(key[group_cursor++]));
-      } else {
-        cells.push_back(accs[c].result(query.returns[c]));
-      }
-    }
-    out.push_back(std::move(cells));
-  }
-  return out;
-}
-
 std::vector<std::vector<json::Value>> project_rows(const Query& query,
                                                    const std::vector<Row>& rows) {
   std::vector<std::vector<json::Value>> out;
@@ -950,86 +874,109 @@ json::Value sort_value(const PropertyGraph& graph, const Query& query,
   return json::Value(nullptr);  // unreachable: the parser validated the key
 }
 
-/// Strict deterministic comparator: the ORDER BY keys, then the base-order
-/// index — so ties preserve the engine's deterministic base order and
-/// top-k selection agrees with a full stable sort.
-struct RowOrder {
-  const PropertyGraph& graph;
-  const Query& query;
-  const std::vector<std::vector<json::Value>>& rows;
+/// One output row on its way through ORDER BY: its cells, the sort value
+/// of every key (resolved once), and its index in the base order.
+struct RankedRow {
+  std::vector<json::Value> cells;
+  std::vector<json::Value> keys;
+  std::size_t index = 0;
+};
 
-  bool operator()(std::size_t a, std::size_t b) const {
-    for (const SortKey& key : query.order_by) {
-      const int c = compare_values(sort_value(graph, query, key, rows[a]),
-                                   sort_value(graph, query, key, rows[b]));
-      if (c != 0) return key.descending ? c > 0 : c < 0;
+RankedRow rank_row(const PropertyGraph& graph, const Query& query,
+                   std::vector<json::Value> cells, std::size_t index) {
+  RankedRow row{std::move(cells), {}, index};
+  row.keys.reserve(query.order_by.size());
+  for (const SortKey& key : query.order_by) {
+    row.keys.push_back(sort_value(graph, query, key, row.cells));
+  }
+  return row;
+}
+
+/// Strict deterministic comparator: the ORDER BY keys, then the base-order
+/// index — so ties preserve the engine's deterministic base order and a
+/// bounded top-k selection agrees with a full stable sort.
+struct RowOrder {
+  const Query& query;
+
+  bool operator()(const RankedRow& a, const RankedRow& b) const {
+    for (std::size_t k = 0; k < query.order_by.size(); ++k) {
+      const int c = compare_values(a.keys[k], b.keys[k]);
+      if (c != 0) return query.order_by[k].descending ? c > 0 : c < 0;
     }
-    return a < b;
+    return a.index < b.index;
   }
 };
 
-/// ORDER BY + SKIP/LIMIT over output rows. `top_k` selects with
-/// std::partial_sort when a finite LIMIT asks for a prefix (the planner's
-/// pagination shortcut); the full sort path is what the oracle uses. Both
-/// orders are identical because the comparator is strict-total.
+/// The oracle's ORDER BY + SKIP/LIMIT: rank every row, sort them all, page.
 std::vector<std::vector<json::Value>> order_and_page(
     const PropertyGraph& graph, const Query& query,
-    std::vector<std::vector<json::Value>> rows, bool top_k) {
-  std::vector<std::size_t> index(rows.size());
-  for (std::size_t i = 0; i < index.size(); ++i) index[i] = i;
-  if (!query.order_by.empty()) {
-    const RowOrder order{graph, query, rows};
-    const std::size_t want =
-        query.limit == std::numeric_limits<std::size_t>::max()
-            ? rows.size()
-            : std::min(rows.size(), query.skip + query.limit);
-    if (top_k && want < rows.size()) {
-      std::partial_sort(index.begin(), index.begin() + static_cast<std::ptrdiff_t>(want),
-                        index.end(), order);
-    } else {
-      std::sort(index.begin(), index.end(), order);
-    }
+    std::vector<std::vector<json::Value>> rows) {
+  std::vector<RankedRow> ranked;
+  ranked.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ranked.push_back(rank_row(graph, query, std::move(rows[i]), i));
   }
+  if (!query.order_by.empty()) std::sort(ranked.begin(), ranked.end(), RowOrder{query});
   std::vector<std::vector<json::Value>> out;
-  for (std::size_t i = query.skip; i < index.size() && out.size() < query.limit; ++i) {
-    out.push_back(std::move(rows[index[i]]));
+  for (std::size_t i = query.skip; i < ranked.size() && out.size() < query.limit; ++i) {
+    out.push_back(std::move(ranked[i].cells));
   }
   return out;
 }
 
-// ------------------------------------------------------------ match cores
+/// The executor's ORDER BY / SKIP / LIMIT sink. It keeps only the rows
+/// SKIP+LIMIT can return: under ORDER BY a max-heap of the best SKIP+LIMIT
+/// rows by RowOrder, whose base-order tiebreak makes the bounded selection
+/// equal a full stable sort. Without a LIMIT every row is kept and sorted
+/// once at the end; without ORDER BY the first SKIP+LIMIT rows are kept.
+class TopRows {
+ public:
+  TopRows(const PropertyGraph& graph, const Query& query)
+      : graph_(graph),
+        query_(query),
+        keep_(query.limit > kNoLimit - query.skip ? kNoLimit : query.skip + query.limit) {}
 
-Expected<std::set<std::vector<NodeId>>> match_planned(const PropertyGraph& graph,
-                                                      const Query& query,
-                                                      const QueryPlan& plan) {
-  // Execute in anchor orientation; conditions keep their original
-  // first-occurrence positions, mirrored when the path is reversed.
-  const Query executed = plan.reversed ? reverse_query(query) : query;
-  std::vector<std::vector<const Condition*>> conds = conditions_by_position(query);
-  if (plan.reversed) std::reverse(conds.begin(), conds.end());
-
-  std::set<std::vector<NodeId>> paths;
-  for (const NodeId start : candidates(graph, executed.nodes.front(), plan)) {
-    const bool pruned = std::any_of(
-        conds.front().begin(), conds.front().end(),
-        [&](const Condition* c) { return !condition_holds_impl(graph, start, *c); });
-    if (pruned) continue;
-    std::vector<NodeId> path{start};
-    extend(graph, executed, conds, 1, path, paths);
-  }
-
-  if (plan.reversed) {
-    std::set<std::vector<NodeId>> forward;
-    for (const std::vector<NodeId>& path : paths) {
-      forward.emplace(path.rbegin(), path.rend());
+  void push(std::vector<json::Value> cells) {
+    const std::size_t index = pushed_++;
+    const bool ordered = !query_.order_by.empty();
+    if (rows_.size() < keep_) {
+      rows_.push_back(rank_row(graph_, query_, std::move(cells), index));
+      if (ordered && keep_ != kNoLimit) std::push_heap(rows_.begin(), rows_.end(), order());
+      return;
     }
-    paths.swap(forward);
+    if (!ordered || rows_.empty()) return;
+    RankedRow row = rank_row(graph_, query_, std::move(cells), index);
+    if (!order()(row, rows_.front())) return;
+    std::pop_heap(rows_.begin(), rows_.end(), order());
+    rows_.back() = std::move(row);
+    std::push_heap(rows_.begin(), rows_.end(), order());
   }
-  return paths;
-}
 
-Expected<std::set<std::vector<NodeId>>> match_brute(const PropertyGraph& graph,
-                                                    const Query& query) {
+  /// The kept rows in result order, SKIP applied.
+  [[nodiscard]] std::vector<std::vector<json::Value>> take() {
+    if (!query_.order_by.empty()) std::sort(rows_.begin(), rows_.end(), order());
+    std::vector<std::vector<json::Value>> out;
+    for (std::size_t i = query_.skip; i < rows_.size(); ++i) {
+      out.push_back(std::move(rows_[i].cells));
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+
+  [[nodiscard]] RowOrder order() const { return RowOrder{query_}; }
+
+  const PropertyGraph& graph_;
+  const Query& query_;
+  std::size_t keep_;
+  std::size_t pushed_ = 0;
+  std::vector<RankedRow> rows_;
+};
+
+// ------------------------------------------------------------- the oracle
+
+std::set<std::vector<NodeId>> match_brute(const PropertyGraph& graph, const Query& query) {
   // Full scan, forward orientation, no index, no pushdown.
   std::set<std::vector<NodeId>> paths;
   for (const NodeId start : graph.node_ids()) {
@@ -1053,20 +1000,6 @@ Expected<std::set<std::vector<NodeId>>> match_brute(const PropertyGraph& graph,
   }
   return paths;
 }
-
-Expected<std::vector<Row>> binding_rows(const PropertyGraph& graph, const Query& query,
-                                        bool brute) {
-  if (query.nodes.empty()) return Error{"query has no node patterns", "query"};
-  Expected<std::set<std::vector<NodeId>>> paths =
-      brute ? match_brute(graph, query)
-            : match_planned(graph, query, explain_query(graph, query));
-  if (!paths.ok()) return paths.error();
-  return rows_from_paths(query, paths.value());
-}
-
-}  // namespace
-
-namespace {
 
 /// Evaluates one WHERE condition against a node's property value.
 /// Missing properties never match; numbers compare numerically, strings
@@ -1115,18 +1048,22 @@ Expected<Query> parse_query(const std::string& text) { return Parser(text).run()
 
 // ------------------------------------------------------------ QueryCursor
 
-/// Cursor state. Two shapes share the class:
+/// Cursor state: the one planned executor.
 ///
-///   · lazy — an explicit-stack depth-first walk over the pattern in
-///     forward orientation. frames[d] holds the sorted-unique candidate
-///     list for pattern position d given path[0..d-1]; children are
-///     sorted at generation, so complete fixed-length paths pop out in
-///     ascending lexicographic order — exactly the order the batch
-///     engine's std::set<std::vector<NodeId>> imposes — and rows can
-///     stream without ever materializing the result.
+/// The walk is an explicit-stack depth-first search over the pattern.
+/// frames[d] holds the sorted-unique candidate list for pattern position d
+/// given path[0..d-1], so complete paths pop out distinct and in ascending
+/// lexicographic order. Walked forward, that is the canonical order (the
+/// oracle's std::set<std::vector<NodeId>>) and rows can stream. Walked
+/// reversed, over reverse_query(query), the complete paths are collected,
+/// flipped and sorted before any row leaves, so the row stage always sees
+/// canonical order and ties and avg summation order match the oracle's.
 ///
-///   · materialized — ORDER BY / aggregate queries run through
-///     execute_query() once on open, and next() slices the table.
+/// Downstream, rows are deduplicated on the projected bindings and reach
+/// exactly one sink: plain projection streams page by page (`lazy`);
+/// aggregates fold into per-group accumulators; ORDER BY keeps SKIP+LIMIT
+/// rows in TopRows. The non-streaming sinks run to completion on open and
+/// next() slices the finished `table`.
 struct QueryCursor::Impl {
   const PropertyGraph* graph = nullptr;
   Query query;
@@ -1134,20 +1071,26 @@ struct QueryCursor::Impl {
   bool lazy = false;
   bool exhausted = false;
 
-  // --- lazy-walk state
+  // --- the walk, over walked(): `query`, or `reversed_query` when the
+  // plan runs from the last pattern node
   struct Frame {
     std::vector<NodeId> nexts;
     std::size_t cursor = 0;
   };
+  bool reversed = false;
+  Query reversed_query;
+  /// WHERE conditions per walked position (pointers into `query`).
   std::vector<std::vector<const Condition*>> conds;
   std::vector<Frame> frames;
   std::vector<NodeId> path;
+
+  // --- the row stage, over canonical (forward-orientation) paths
   /// Projection pushdown: per RETURN item, the pattern position whose
   /// binding becomes the cell (the *last* occurrence of the item's var,
-  /// matching rows_from_paths' overwrite semantics).
+  /// matching the oracle's Row overwrite semantics).
   std::vector<std::size_t> return_positions;
-  /// Dedup key positions: one per relevant var, in ascending var-name
-  /// order (the std::map<var, NodeId> Row order).
+  /// Dedup key: the distinct return_positions, ascending — the bindings
+  /// of every RETURNed variable (aggregate inputs included).
   std::vector<std::size_t> dedup_positions;
   /// False when the dedup key covers every pattern position — then paths
   /// and rows are in bijection and the seen-set is skipped entirely.
@@ -1160,15 +1103,17 @@ struct QueryCursor::Impl {
   /// page (and no extra HTTP round-trip) just to learn the walk is over.
   std::optional<std::vector<json::Value>> pending;
 
-  // --- materialized state
+  // --- the collected result of a non-streaming sink
   std::vector<std::vector<json::Value>> table;
   std::size_t offset = 0;
 
-  /// Sorted-unique expansion candidates for pattern position `pos` from
+  [[nodiscard]] const Query& walked() const { return reversed ? reversed_query : query; }
+
+  /// Sorted-unique expansion candidates for walked position `pos` from
   /// `from`. Pattern/WHERE admissibility is checked at pick time, not
   /// here, so generation stays a sort of the raw neighbor list.
   [[nodiscard]] std::vector<NodeId> children(std::size_t pos, NodeId from) const {
-    const EdgePattern& edge = query.edges[pos - 1];
+    const EdgePattern& edge = walked().edges[pos - 1];
     std::vector<NodeId> nexts =
         edge.variable ? var_targets_planned(*graph, from, edge)
                       : graph->neighbors(from, edge.direction, edge.type);
@@ -1177,14 +1122,119 @@ struct QueryCursor::Impl {
     return nexts;
   }
 
-  /// Whether `node` can occupy pattern position `pos`: the pattern's
-  /// labels/properties plus every WHERE condition bound to the position
-  /// (the same pushdown extend() applies during the batch walk).
+  /// Whether `node` can occupy walked position `pos`: the pattern's
+  /// labels/properties plus every WHERE condition bound to the position,
+  /// so non-matching paths are pruned during the walk.
   [[nodiscard]] bool admissible(std::size_t pos, NodeId node) const {
-    if (!node_matches(*graph, node, query.nodes[pos])) return false;
+    if (!node_matches(*graph, node, walked().nodes[pos])) return false;
     return std::none_of(conds[pos].begin(), conds[pos].end(), [&](const Condition* c) {
       return !condition_holds_impl(*graph, node, *c);
     });
+  }
+
+  /// Advances the walk to its next complete path, left in `path`; false
+  /// once the walk is exhausted.
+  bool advance() {
+    while (!frames.empty()) {
+      const std::size_t depth = frames.size() - 1;
+      Frame& top = frames.back();
+      if (top.cursor == top.nexts.size()) {
+        frames.pop_back();
+        continue;
+      }
+      const NodeId node = top.nexts[top.cursor++];
+      if (!admissible(depth, node)) continue;
+      path.resize(depth);
+      path.push_back(node);
+      if (depth + 1 == query.nodes.size()) return true;
+      frames.push_back(Frame{children(depth + 1, node), 0});
+    }
+    return false;
+  }
+
+  /// Row dedup: true the first time a canonical path's projected bindings
+  /// are seen, so the first path in canonical order produces the row.
+  bool fresh(const std::vector<NodeId>& match) {
+    if (!needs_dedup) return true;
+    std::vector<NodeId> key;
+    key.reserve(dedup_positions.size());
+    for (const std::size_t p : dedup_positions) key.push_back(match[p]);
+    return seen.insert(std::move(key)).second;
+  }
+
+  [[nodiscard]] std::vector<json::Value> project(const std::vector<NodeId>& match) const {
+    std::vector<json::Value> cells;
+    cells.reserve(return_positions.size());
+    for (const std::size_t p : return_positions) {
+      cells.emplace_back(static_cast<std::int64_t>(match[p]));
+    }
+    return cells;
+  }
+
+  /// Runs the whole walk, feeding every deduplicated match to `sink` in
+  /// canonical order.
+  template <typename Sink>
+  void for_each_match(Sink&& sink) {
+    if (!reversed) {
+      while (advance()) {
+        if (fresh(path)) sink(path);
+      }
+      return;
+    }
+    std::vector<std::vector<NodeId>> flipped;
+    while (advance()) flipped.emplace_back(path.rbegin(), path.rend());
+    std::sort(flipped.begin(), flipped.end());
+    for (const std::vector<NodeId>& match : flipped) {
+      if (fresh(match)) sink(match);
+    }
+  }
+
+  /// The non-streaming sinks: aggregates fold per group (groups in
+  /// ascending key order), everything then passes TopRows.
+  void collect() {
+    TopRows top(*graph, query);
+    if (!query.has_aggregate()) {
+      for_each_match([&](const std::vector<NodeId>& match) { top.push(project(match)); });
+      table = top.take();
+      return;
+    }
+    const std::size_t n = query.returns.size();
+    std::map<std::vector<NodeId>, std::vector<AggAccumulator>> groups;
+    bool grouped = false;
+    for (const ReturnItem& item : query.returns) {
+      grouped = grouped || item.agg == ReturnItem::Agg::kNone;
+    }
+    for_each_match([&](const std::vector<NodeId>& match) {
+      std::vector<NodeId> key;
+      for (std::size_t c = 0; c < n; ++c) {
+        if (query.returns[c].agg == ReturnItem::Agg::kNone) {
+          key.push_back(match[return_positions[c]]);
+        }
+      }
+      auto it = groups.try_emplace(std::move(key), n).first;
+      for (std::size_t c = 0; c < n; ++c) {
+        if (query.returns[c].agg != ReturnItem::Agg::kNone) {
+          it->second[c].fold(query.returns[c], *graph, match[return_positions[c]]);
+        }
+      }
+    });
+    // With no grouping variables, aggregates still produce one row
+    // (count() over nothing is 0).
+    if (groups.empty() && !grouped) groups.try_emplace(std::vector<NodeId>{}, n);
+    for (const auto& [key, accs] : groups) {
+      std::vector<json::Value> cells;
+      cells.reserve(n);
+      std::size_t group_cursor = 0;
+      for (std::size_t c = 0; c < n; ++c) {
+        if (query.returns[c].agg == ReturnItem::Agg::kNone) {
+          cells.emplace_back(static_cast<std::int64_t>(key[group_cursor++]));
+        } else {
+          cells.push_back(accs[c].result(query.returns[c]));
+        }
+      }
+      top.push(std::move(cells));
+    }
+    table = top.take();
   }
 
   [[nodiscard]] std::vector<std::vector<json::Value>> next_lazy(std::size_t max_rows) {
@@ -1197,39 +1247,14 @@ struct QueryCursor::Impl {
     // drains the result still learns there is nothing left. The overflow
     // row is stashed in `pending` for the next call. Unbounded drains
     // (max_rows == SIZE_MAX) cannot overflow the +1 because the loop exits
-    // on frame/limit exhaustion long before out.size() wraps.
-    while (out.size() <= max_rows && !frames.empty() && limit_remaining > 0) {
-      const std::size_t depth = frames.size() - 1;
-      Frame& top = frames.back();
-      if (top.cursor == top.nexts.size()) {
-        frames.pop_back();
-        continue;
-      }
-      const NodeId node = top.nexts[top.cursor++];
-      if (!admissible(depth, node)) continue;
-      path.resize(depth);
-      path.push_back(node);
-      if (depth + 1 < query.nodes.size()) {
-        frames.push_back(Frame{children(depth + 1, node), 0});
-        continue;
-      }
-      // Complete path: dedup on the projected bindings, then page.
-      if (needs_dedup) {
-        std::vector<NodeId> key;
-        key.reserve(dedup_positions.size());
-        for (const std::size_t p : dedup_positions) key.push_back(path[p]);
-        if (!seen.insert(std::move(key)).second) continue;
-      }
+    // on walk/limit exhaustion long before out.size() wraps.
+    while (out.size() <= max_rows && limit_remaining > 0 && advance()) {
+      if (!fresh(path)) continue;
       if (skip_remaining > 0) {
         --skip_remaining;
         continue;
       }
-      std::vector<json::Value> cells;
-      cells.reserve(return_positions.size());
-      for (const std::size_t p : return_positions) {
-        cells.emplace_back(static_cast<std::int64_t>(path[p]));
-      }
-      out.push_back(std::move(cells));
+      out.push_back(project(path));
       --limit_remaining;
     }
     if (out.size() > max_rows) {
@@ -1243,10 +1268,12 @@ struct QueryCursor::Impl {
   }
 
   [[nodiscard]] std::vector<std::vector<json::Value>> next_table(std::size_t max_rows) {
-    std::vector<std::vector<json::Value>> out;
-    while (offset < table.size() && out.size() < max_rows) {
-      out.push_back(std::move(table[offset++]));
-    }
+    const std::size_t n = std::min(max_rows, table.size() - offset);
+    const auto first = table.begin() + static_cast<std::ptrdiff_t>(offset);
+    std::vector<std::vector<json::Value>> out(
+        std::make_move_iterator(first),
+        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(n)));
+    offset += n;
     if (offset == table.size()) exhausted = true;
     return out;
   }
@@ -1276,52 +1303,58 @@ Expected<QueryCursor> QueryCursor::open(const PropertyGraph& graph, const Query&
   impl->graph = &graph;
   impl->query = query;
   impl->columns = result_columns(query);
-  impl->lazy = !query.has_aggregate() && query.order_by.empty();
-  if (!impl->lazy) {
-    Expected<ResultSet> table = execute_query(graph, query);
-    if (!table.ok()) return table.error();
-    impl->table = std::move(table.value().rows);
-    impl->exhausted = impl->table.empty();
+  if (query.limit == 0) {
+    impl->exhausted = true;
     return QueryCursor(std::move(impl));
   }
 
+  // The orientation rule. A plain query (no aggregate, no ORDER BY)
+  // streams forward when its LIMIT is finite — the walk then stops after
+  // O(SKIP+LIMIT) rows, whichever end is cheaper overall — or when the
+  // planner runs forward anyway. Every other query walks in the planner's
+  // orientation; a reversed walk is collected and sorted before any row
+  // leaves.
   const Query& q = impl->query;
+  const bool plain = !q.has_aggregate() && q.order_by.empty();
+  const QueryPlan plan = plain && q.limit != std::numeric_limits<std::size_t>::max()
+                             ? plan_anchor(graph, q.nodes.front())
+                             : explain_query(graph, q);
+  impl->reversed = plan.reversed;
+  impl->lazy = plain && !plan.reversed;
+  // Conditions keep their original first-occurrence positions, mirrored
+  // when the walk is reversed.
   impl->conds = conditions_by_position(q);
+  if (impl->reversed) {
+    impl->reversed_query = reverse_query(q);
+    std::reverse(impl->conds.begin(), impl->conds.end());
+  }
   impl->skip_remaining = q.skip;
   impl->limit_remaining = q.limit;
 
-  // Projection pushdown bookkeeping: map RETURN items and the dedup key
-  // to pattern positions once, so emitting a row is a handful of array
-  // reads instead of a Row map.
-  std::map<std::string, std::size_t> last_position;
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    if (!q.nodes[i].var.empty()) last_position[q.nodes[i].var] = i;
-  }
+  // Projection pushdown bookkeeping: map RETURN items to pattern positions
+  // once (the last occurrence of the item's var), so emitting a row is a
+  // handful of array reads instead of a Row map. The dedup key is the set
+  // of those positions; when it covers every pattern position, paths and
+  // rows are in bijection and the seen-set is skipped.
   for (const ReturnItem& item : q.returns) {
-    impl->return_positions.push_back(last_position.at(item.var));
+    std::size_t pos = q.nodes.size();
+    while (pos > 0 && q.nodes[pos - 1].var != item.var) --pos;
+    if (pos == 0) return Error{"RETURN references unbound variable '" + item.var + "'", "query"};
+    impl->return_positions.push_back(pos - 1);
   }
-  const std::set<std::string> vars = relevant_vars(q);
-  for (const std::string& var : vars) {  // std::set iterates ascending
-    impl->dedup_positions.push_back(last_position.at(var));
-  }
-  // The seen-set is only needed when distinct paths can collapse to one
-  // row, i.e. when some position is not the last occurrence of a
-  // projected variable.
-  impl->needs_dedup = false;
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    const std::string& var = q.nodes[i].var;
-    if (var.empty() || vars.count(var) == 0 || last_position.at(var) != i) {
-      impl->needs_dedup = true;
-      break;
-    }
-  }
+  impl->dedup_positions = impl->return_positions;
+  std::sort(impl->dedup_positions.begin(), impl->dedup_positions.end());
+  impl->dedup_positions.erase(
+      std::unique(impl->dedup_positions.begin(), impl->dedup_positions.end()),
+      impl->dedup_positions.end());
+  impl->needs_dedup = impl->dedup_positions.size() != q.nodes.size();
 
-  // Forward-orientation anchor. The cursor never reverses: only the
-  // forward walk emits paths in the canonical ascending order, so
-  // streamed pages concatenate byte-identically to the batch result.
-  impl->frames.push_back(
-      Impl::Frame{anchor_pool(graph, q.nodes.front(), plan_anchor(graph, q.nodes.front())), 0});
-  if (q.limit == 0) impl->exhausted = true;
+  const NodePattern& anchor = impl->walked().nodes.front();
+  impl->frames.push_back(Impl::Frame{anchor_pool(graph, anchor, plan), 0});
+  if (!impl->lazy) {
+    impl->collect();
+    impl->exhausted = impl->table.empty();
+  }
   return QueryCursor(std::move(impl));
 }
 
@@ -1334,43 +1367,23 @@ Expected<QueryCursor> QueryCursor::open(const PropertyGraph& graph,
 
 QueryPlan explain_query(const PropertyGraph& graph, const Query& query) {
   if (query.nodes.empty()) return QueryPlan{};
-  QueryPlan front = estimate_orientation(graph, query);
+  std::vector<QueryPlan> anchors;
+  anchors.reserve(query.nodes.size());
+  for (const NodePattern& node : query.nodes) anchors.push_back(plan_anchor(graph, node));
+  const QueryPlan front = estimate_orientation(graph, query, anchors, /*reversed=*/false);
   if (query.nodes.size() == 1) return front;
-  QueryPlan back = estimate_orientation(graph, reverse_query(query));
-  if (back.estimated_cost < front.estimated_cost) {
-    back.reversed = true;
-    // The cardinality of the whole path does not depend on which end the
-    // match started from; report the chosen orientation's walk.
-    return back;
-  }
-  return front;
+  // The cardinality of the whole path does not depend on which end the
+  // match started from; report the chosen orientation's walk.
+  const QueryPlan back = estimate_orientation(graph, query, anchors, /*reversed=*/true);
+  return back.estimated_cost < front.estimated_cost ? back : front;
 }
 
 Expected<ResultSet> execute_query(const PropertyGraph& graph, const Query& query) {
-  // Streamable queries (no aggregate, no ORDER BY) drain the lazy cursor
-  // instead of materializing every match: with a finite LIMIT that makes
-  // the whole call O(SKIP+LIMIT) walk work — the walk stops as soon as
-  // the page is full. An unbounded query visits everything either way,
-  // so it only streams when the planner would have run forward anyway
-  // (the cursor cannot reverse without losing canonical output order).
-  if (!query.nodes.empty() && !query.has_aggregate() && query.order_by.empty() &&
-      (query.limit != std::numeric_limits<std::size_t>::max() ||
-       !explain_query(graph, query).reversed)) {
-    Expected<QueryCursor> cursor = QueryCursor::open(graph, query);
-    if (!cursor.ok()) return cursor.error();
-    ResultSet result;
-    result.columns = result_columns(query);
-    result.rows = cursor.value().next(query.limit);
-    return result;
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/false);
-  if (!rows.ok()) return rows.error();
+  Expected<QueryCursor> cursor = QueryCursor::open(graph, query);
+  if (!cursor.ok()) return cursor.error();
   ResultSet result;
-  result.columns = result_columns(query);
-  std::vector<std::vector<json::Value>> cells =
-      query.has_aggregate() ? aggregate_rows(graph, query, rows.value())
-                            : project_rows(query, rows.value());
-  result.rows = order_and_page(graph, query, std::move(cells), /*top_k=*/true);
+  result.columns = cursor.value().columns();
+  result.rows = cursor.value().next(std::numeric_limits<std::size_t>::max());
   return result;
 }
 
@@ -1382,13 +1395,13 @@ Expected<ResultSet> execute_query(const PropertyGraph& graph, const std::string&
 
 Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
                                               const Query& query) {
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/true);
-  if (!rows.ok()) return rows.error();
+  if (query.nodes.empty()) return Error{"query has no node patterns", "query"};
+  const std::vector<Row> rows = rows_from_paths(query, match_brute(graph, query));
   ResultSet result;
   result.columns = result_columns(query);
   // Full materialization: group row vectors first, aggregate second, sort
-  // everything third. The ablation partner of the planner's streaming
-  // accumulators and top-k selection.
+  // everything third. The ablation partner of the executor's streaming
+  // accumulators and bounded ORDER BY heap.
   std::vector<std::vector<json::Value>> cells;
   if (query.has_aggregate()) {
     std::vector<const ReturnItem*> group_items;
@@ -1396,7 +1409,7 @@ Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
       if (item.agg == ReturnItem::Agg::kNone) group_items.push_back(&item);
     }
     std::map<std::vector<NodeId>, std::vector<Row>> groups;
-    for (const Row& row : rows.value()) {
+    for (const Row& row : rows) {
       std::vector<NodeId> key;
       for (const ReturnItem* item : group_items) key.push_back(row.at(item->var));
       groups[std::move(key)].push_back(row);
@@ -1411,75 +1424,16 @@ Expected<ResultSet> execute_query_brute_force(const PropertyGraph& graph,
           continue;
         }
         AggAccumulator acc;
-        for (const Row& row : members) acc.fold(item, graph, row);
+        for (const Row& row : members) acc.fold(item, graph, row.at(item.var));
         out.push_back(acc.result(item));
       }
       cells.push_back(std::move(out));
     }
   } else {
-    cells = project_rows(query, rows.value());
+    cells = project_rows(query, rows);
   }
-  result.rows = order_and_page(graph, query, std::move(cells), /*top_k=*/false);
+  result.rows = order_and_page(graph, query, std::move(cells));
   return result;
-}
-
-Expected<std::vector<Row>> run_query(const PropertyGraph& graph, const Query& query) {
-  if (query.has_aggregate()) {
-    return Error{"query aggregates; use execute_query for a value table", "query"};
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/false);
-  if (!rows.ok()) return rows.error();
-  // Present the same rows execute_query would: ordered and paginated.
-  if (query.order_by.empty() && query.skip == 0 &&
-      query.limit == std::numeric_limits<std::size_t>::max()) {
-    return rows;
-  }
-  std::vector<std::vector<json::Value>> cells = project_rows(query, rows.value());
-  const std::vector<std::vector<json::Value>> paged =
-      order_and_page(graph, query, std::move(cells), /*top_k=*/true);
-  std::vector<Row> out;
-  out.reserve(paged.size());
-  for (const std::vector<json::Value>& row : paged) {
-    Row bindings;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      bindings[query.returns[c].var] = static_cast<NodeId>(row[c].as_int());
-    }
-    out.push_back(std::move(bindings));
-  }
-  return out;
-}
-
-Expected<std::vector<Row>> run_query_brute_force(const PropertyGraph& graph,
-                                                 const Query& query) {
-  if (query.has_aggregate()) {
-    return Error{"query aggregates; use execute_query_brute_force for a value table",
-                 "query"};
-  }
-  Expected<std::vector<Row>> rows = binding_rows(graph, query, /*brute=*/true);
-  if (!rows.ok()) return rows.error();
-  if (query.order_by.empty() && query.skip == 0 &&
-      query.limit == std::numeric_limits<std::size_t>::max()) {
-    return rows;
-  }
-  std::vector<std::vector<json::Value>> cells = project_rows(query, rows.value());
-  const std::vector<std::vector<json::Value>> paged =
-      order_and_page(graph, query, std::move(cells), /*top_k=*/false);
-  std::vector<Row> out;
-  out.reserve(paged.size());
-  for (const std::vector<json::Value>& row : paged) {
-    Row bindings;
-    for (std::size_t c = 0; c < query.returns.size(); ++c) {
-      bindings[query.returns[c].var] = static_cast<NodeId>(row[c].as_int());
-    }
-    out.push_back(std::move(bindings));
-  }
-  return out;
-}
-
-Expected<std::vector<Row>> run_query(const PropertyGraph& graph, const std::string& text) {
-  Expected<Query> query = parse_query(text);
-  if (!query.ok()) return query.error();
-  return run_query(graph, query.value());
 }
 
 std::vector<ReachHop> var_length_reach(const PropertyGraph& graph, NodeId start,

@@ -97,6 +97,16 @@ json::Value edge_summary(const PropertyGraph& graph, const Edge& e, bool outgoin
   return obj;
 }
 
+/// Pre-WAL stores (index.json plus one PROV-JSON file per document) are no
+/// longer read. Opening one as a WAL store would serve it empty, so load()
+/// and attach_wal() both refuse it by name.
+constexpr const char* kPreWalLayout =
+    "pre-WAL store layout (index.json) is no longer read; re-ingest its documents";
+
+bool pre_wal_layout(const std::string& dir) {
+  return !wal::store_exists(dir) && fs::exists(fs::path(dir) / "index.json");
+}
+
 }  // namespace
 
 YProvService::YProvService(std::size_t shards) : graph_(shards) {
@@ -754,6 +764,7 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
     return Error{"attach_wal requires an empty service (it hydrates from the store)",
                  dir};
   }
+  if (pre_wal_layout(dir)) return Error{kPreWalLayout, dir};
   Expected<std::unique_ptr<wal::DurableStore>> store = wal::DurableStore::open(dir, options);
   if (!store.ok()) return store.error();
   for (auto& [name, body] : store.value()->recovered().documents) {
@@ -817,42 +828,22 @@ Status YProvService::save(const std::string& dir) const {
 }
 
 Expected<YProvService> YProvService::load(const std::string& dir) {
-  if (wal::store_exists(dir)) {
-    Expected<wal::RecoveredState> recovered = wal::recover(dir);
-    if (!recovered.ok()) return recovered.error();
-    YProvService service;
-    for (auto& [name, body] : recovered.value().documents) {
-      Expected<json::Value> parsed = json::parse(body);
-      if (!parsed.ok()) return Error{"stored document does not parse", name};
-      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-      if (!doc.ok()) return doc.error();
-      Status s = service.put_document(name, doc.value());
-      if (!s.ok()) return s.error();
-    }
-    return service;
-  }
-  // Legacy layout (pre-WAL stores): index.json + one PROV-JSON file per
-  // document. Read-only compatibility; the first save() upgrades the dir.
-  Expected<json::Value> index = json::parse_file((fs::path(dir) / "index.json").string());
-  if (!index.ok()) return index.error();
-  const json::Value* docs = index.value().find("documents");
-  if (docs == nullptr || !docs->is_array()) return Error{"malformed index", dir};
+  if (pre_wal_layout(dir)) return Error{kPreWalLayout, dir};
+  if (!wal::store_exists(dir)) return Error{"no WAL store", dir};
+  Expected<wal::RecoveredState> recovered = wal::recover(dir);
+  if (!recovered.ok()) return recovered.error();
   YProvService service;
-  for (const json::Value& entry : docs->as_array()) {
-    const json::Value* name = entry.find("name");
-    const json::Value* file = entry.find("file");
-    if (name == nullptr || file == nullptr) return Error{"malformed index entry", dir};
-    Expected<prov::Document> doc =
-        prov::read_prov_json_file((fs::path(dir) / file->as_string()).string());
+  for (auto& [name, body] : recovered.value().documents) {
+    Expected<json::Value> parsed = json::parse(body);
+    if (!parsed.ok()) return Error{"stored document does not parse", name};
+    Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
     if (!doc.ok()) return doc.error();
-    Status s = service.put_document(name->as_string(), doc.value());
+    Status s = service.put_document(name, doc.value());
     if (!s.ok()) return s.error();
   }
   return service;
 }
 
-bool YProvService::store_exists(const std::string& dir) {
-  return wal::store_exists(dir) || fs::exists(fs::path(dir) / "index.json");
-}
+bool YProvService::store_exists(const std::string& dir) { return wal::store_exists(dir); }
 
 }  // namespace provml::graphstore

@@ -204,11 +204,12 @@ TEST(LineageEquivalence, SubsumedByVariableLengthQuery) {
     const std::string text =
         "MATCH (s {prov_id: \"ex:report\"})-[*1.." + std::to_string(depth) +
         "]->(x) RETURN x";
-    const auto rows = graphstore::run_query(graph, text);
+    const auto rows = graphstore::execute_query(graph, text);
     ASSERT_TRUE(rows.ok()) << rows.error().to_string();
     std::set<std::string> query_ids;
-    for (const graphstore::Row& row : rows.value()) {
-      const graphstore::Node* n = graph.node(row.at("x"));
+    for (const auto& row : rows.value().rows) {
+      const graphstore::Node* n =
+          graph.node(static_cast<graphstore::NodeId>(row[0].as_int()));
       ASSERT_NE(n, nullptr);
       query_ids.insert(n->properties.find("prov_id")->as_string());
     }

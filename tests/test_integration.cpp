@@ -113,19 +113,19 @@ TEST_F(IntegrationTest, FullPipeline) {
   EXPECT_EQ(loss->size(), 3u);
 
   // --- 4. Graph queries over the ingested provenance. --------------------
-  const auto rows = graphstore::run_query(
+  const auto rows = graphstore::execute_query(
       service.graph(),
       R"(MATCH (e:Entity {provml:name: "final_loss"}) RETURN e)");
   ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  EXPECT_EQ(rows.value().size(), 6u);  // one output param per run
+  EXPECT_EQ(rows.value().rows.size(), 6u);  // one output param per run
 
   // Two-hop query: checkpoints generated by contexts informed by runs.
-  const auto chains = graphstore::run_query(
+  const auto chains = graphstore::execute_query(
       service.graph(),
       "MATCH (c:Entity)-[:wasGeneratedBy]->(ctx:Activity)-[:wasInformedBy]->"
       "(r:Activity) RETURN c, r");
   ASSERT_TRUE(chains.ok());
-  EXPECT_GE(chains.value().size(), 6u);
+  EXPECT_GE(chains.value().rows.size(), 6u);
 
   // --- 5. Lineage: a checkpoint's upstream reaches dataset and source. ---
   const auto doc = prov::read_prov_json_file(paths[0]);

@@ -836,5 +836,53 @@ TEST(HttpServer, InjectedSendFaultGivesCleanErrorAndServerSurvives) {
   server.stop();
 }
 
+// ------------------------------------------------------- response cache
+
+TEST(YProvHttpAppCache, EvictedEntryIsRebuiltAsAMiss) {
+  // Capacity 2 and three distinct documents read once each: the first
+  // read is evicted. Reading it again must be a clean miss that rebuilds
+  // byte-identical content. Eviction has to drop the evicted entry's own
+  // map slot; a slot left behind would point at the freed list node.
+  YProvHttpApp::Options options;
+  options.cache_capacity = 2;
+  YProvHttpApp app(options);
+  testkit::Rng rng(7);
+  testkit::ProvGenOptions gen;
+  gen.max_elements = 6;
+  gen.max_relations = 8;
+  gen.with_bundles = false;
+  const std::vector<std::string> names = {"d0", "d1", "d2"};
+  for (const std::string& name : names) {
+    HttpRequest put;
+    put.method = "PUT";
+    put.target = "/api/v0/documents/" + name;
+    put.body = prov::to_prov_json_string(testkit::gen_prov_document(rng, gen),
+                                         /*pretty=*/false);
+    ASSERT_EQ(app.handle(put).status, 201) << name;
+  }
+  std::vector<std::string> bodies;
+  for (const std::string& name : names) {
+    HttpRequest get;
+    get.method = "GET";
+    get.target = "/api/v0/documents/" + name;
+    const HttpResponse response = app.handle(get);
+    ASSERT_EQ(response.status, 200) << name;
+    bodies.push_back(response.body);
+  }
+  const YProvHttpApp::Counters before = app.counters();
+  EXPECT_EQ(before.cache_misses, 3u);
+  EXPECT_EQ(before.cache_hits, 0u);
+
+  HttpRequest again;
+  again.method = "GET";
+  again.target = "/api/v0/documents/d0";
+  const HttpResponse response = app.handle(again);
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, bodies[0]);
+  const YProvHttpApp::Counters after = app.counters();
+  EXPECT_EQ(after.cache_misses, before.cache_misses + 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+}
+
 }  // namespace
 }  // namespace provml::net

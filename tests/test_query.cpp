@@ -100,74 +100,74 @@ TEST(QueryParser, RejectsMalformed) {
 
 TEST(QueryRun, FindsGeneratedEntities) {
   const PropertyGraph g = training_graph();
-  const auto rows = run_query(
+  const auto rows = execute_query(
       g, R"(MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity {prov_id: "ex:run"}) RETURN e)");
   ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  EXPECT_EQ(rows.value().size(), 2u);  // ckpt + metrics
+  EXPECT_EQ(rows.value().rows.size(), 2u);  // ckpt + metrics
 }
 
 TEST(QueryRun, DirectionMatters) {
   const PropertyGraph g = training_graph();
   // Reversed arrow: nothing is generated *by* an entity.
-  const auto rows = run_query(
+  const auto rows = execute_query(
       g, R"(MATCH (e:Entity)<-[:wasGeneratedBy]-(a:Activity {prov_id: "ex:run"}) RETURN e)");
   ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows.value().empty());
+  EXPECT_TRUE(rows.value().rows.empty());
   // Undirected matches regardless.
-  const auto undirected = run_query(
+  const auto undirected = execute_query(
       g, R"(MATCH (e:Entity)-[:wasGeneratedBy]-(a:Activity {prov_id: "ex:run"}) RETURN e)");
-  EXPECT_EQ(undirected.value().size(), 2u);
+  EXPECT_EQ(undirected.value().rows.size(), 2u);
 }
 
 TEST(QueryRun, PropertyEqualityFilters) {
   const PropertyGraph g = training_graph();
   const auto rows =
-      run_query(g, R"(MATCH (e:Entity {provml:name: "checkpoint"}) RETURN e)");
+      execute_query(g, R"(MATCH (e:Entity {provml:name: "checkpoint"}) RETURN e)");
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().size(), 1u);
-  const Node* n = g.node(rows.value()[0].at("e"));
+  ASSERT_EQ(rows.value().rows.size(), 1u);
+  const Node* n = g.node(static_cast<NodeId>(rows.value().rows[0][0].as_int()));
   EXPECT_EQ(n->properties.find("prov_id")->as_string(), "ex:ckpt");
 }
 
 TEST(QueryRun, TwoHopTraversal) {
   const PropertyGraph g = training_graph();
   // What did the activity that generated the checkpoint use?
-  const auto rows = run_query(g,
-                              R"(MATCH (c:Entity {provml:name: "checkpoint"})
-                                 -[:wasGeneratedBy]->(r:Activity)-[:used]->(d:Entity)
-                                 RETURN d)");
+  const auto rows = execute_query(g,
+                                  R"(MATCH (c:Entity {provml:name: "checkpoint"})
+                                     -[:wasGeneratedBy]->(r:Activity)-[:used]->(d:Entity)
+                                     RETURN d)");
   ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_EQ(g.node(rows.value()[0].at("d"))->properties.find("prov_id")->as_string(),
+  ASSERT_EQ(rows.value().rows.size(), 1u);
+  EXPECT_EQ(g.node(static_cast<NodeId>(rows.value().rows[0][0].as_int()))
+                ->properties.find("prov_id")
+                ->as_string(),
             "ex:dataset");
 }
 
 TEST(QueryRun, MultipleReturnsFormRows) {
   const PropertyGraph g = training_graph();
   const auto rows =
-      run_query(g, "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity) RETURN e, a");
+      execute_query(g, "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity) RETURN e, a");
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().size(), 2u);
-  for (const Row& row : rows.value()) {
-    EXPECT_EQ(row.size(), 2u);
-    EXPECT_TRUE(row.count("e"));
-    EXPECT_TRUE(row.count("a"));
-  }
+  ASSERT_EQ(rows.value().rows.size(), 2u);
+  const std::vector<ResultSet::Column> columns = {{"e", true}, {"a", true}};
+  EXPECT_EQ(rows.value().columns, columns);
+  for (const auto& row : rows.value().rows) EXPECT_EQ(row.size(), 2u);
 }
 
 TEST(QueryRun, AnyEdgeTypeWildcard) {
   const PropertyGraph g = training_graph();
   const auto rows =
-      run_query(g, R"(MATCH (a:Activity {prov_id: "ex:run"})--(x) RETURN x)");
+      execute_query(g, R"(MATCH (a:Activity {prov_id: "ex:run"})--(x) RETURN x)");
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 4u);  // dataset, ckpt, metrics, alice
+  EXPECT_EQ(rows.value().rows.size(), 4u);  // dataset, ckpt, metrics, alice
 }
 
 TEST(QueryRun, NoLabelScansAllNodes) {
   const PropertyGraph g = training_graph();
-  const auto rows = run_query(g, "MATCH (n) RETURN n");
+  const auto rows = execute_query(g, "MATCH (n) RETURN n");
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), g.node_count());
+  EXPECT_EQ(rows.value().rows.size(), g.node_count());
 }
 
 TEST(QueryRun, DuplicateRowsCollapsed) {
@@ -175,21 +175,28 @@ TEST(QueryRun, DuplicateRowsCollapsed) {
   // Both generated entities reach the same activity; returning only the
   // activity must yield a single row.
   const auto rows =
-      run_query(g, "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity) RETURN a");
+      execute_query(g, "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity) RETURN a");
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 1u);
+  EXPECT_EQ(rows.value().rows.size(), 1u);
 }
 
 TEST(QueryRun, EmptyGraphYieldsNoRows) {
   PropertyGraph g;
-  const auto rows = run_query(g, "MATCH (n:Entity) RETURN n");
+  const auto rows = execute_query(g, "MATCH (n:Entity) RETURN n");
   ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows.value().empty());
+  EXPECT_TRUE(rows.value().rows.empty());
 }
 
 TEST(QueryRun, ParseErrorsPropagate) {
   PropertyGraph g;
-  EXPECT_FALSE(run_query(g, "MATCH oops").ok());
+  EXPECT_FALSE(execute_query(g, "MATCH oops").ok());
+}
+
+TEST(QueryRun, HonorsLimit) {
+  const PropertyGraph g = training_graph();
+  const auto rows = execute_query(g, "MATCH (n) RETURN n LIMIT 2");
+  ASSERT_TRUE(rows.ok()) << rows.error().to_string();
+  EXPECT_EQ(rows.value().rows.size(), 2u);
 }
 
 
@@ -229,14 +236,14 @@ TEST(QueryWhere, FiltersNumericProperties) {
                             {{"devices", devices}, {"loss", 1.0 / devices}}));
   }
   const auto rows =
-      run_query(g, "MATCH (n:Run) WHERE n.devices > 8 RETURN n");
+      execute_query(g, "MATCH (n:Run) WHERE n.devices > 8 RETURN n");
   ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  EXPECT_EQ(rows.value().size(), 2u);
+  EXPECT_EQ(rows.value().rows.size(), 2u);
 
-  const auto conj = run_query(
+  const auto conj = execute_query(
       g, "MATCH (n:Run) WHERE n.devices > 8 AND n.loss < 0.01 RETURN n");
   ASSERT_TRUE(conj.ok());
-  EXPECT_EQ(conj.value().size(), 1u);  // only the 128-device run
+  EXPECT_EQ(conj.value().rows.size(), 1u);  // only the 128-device run
 }
 
 TEST(QueryWhere, StringAndMissingProperties) {
@@ -244,36 +251,36 @@ TEST(QueryWhere, StringAndMissingProperties) {
   g.add_node({"N"}, json::make_object({{"name", "alpha"}}));
   g.add_node({"N"}, json::make_object({{"name", "beta"}}));
   g.add_node({"N"});  // no name property
-  const auto eq = run_query(g, R"(MATCH (n:N) WHERE n.name = "alpha" RETURN n)");
-  EXPECT_EQ(eq.value().size(), 1u);
-  const auto ne = run_query(g, R"(MATCH (n:N) WHERE n.name != "alpha" RETURN n)");
-  EXPECT_EQ(ne.value().size(), 1u);  // missing property never matches
-  const auto lt = run_query(g, R"(MATCH (n:N) WHERE n.name < "b" RETURN n)");
-  EXPECT_EQ(lt.value().size(), 1u);
+  const auto eq = execute_query(g, R"(MATCH (n:N) WHERE n.name = "alpha" RETURN n)");
+  EXPECT_EQ(eq.value().rows.size(), 1u);
+  const auto ne = execute_query(g, R"(MATCH (n:N) WHERE n.name != "alpha" RETURN n)");
+  EXPECT_EQ(ne.value().rows.size(), 1u);  // missing property never matches
+  const auto lt = execute_query(g, R"(MATCH (n:N) WHERE n.name < "b" RETURN n)");
+  EXPECT_EQ(lt.value().rows.size(), 1u);
 }
 
 TEST(QueryWhere, CrossTypeComparisonIsFalse) {
   PropertyGraph g;
   g.add_node({"N"}, json::make_object({{"v", "5"}}));  // string "5"
-  EXPECT_TRUE(run_query(g, "MATCH (n:N) WHERE n.v > 1 RETURN n").value().empty());
-  EXPECT_TRUE(run_query(g, "MATCH (n:N) WHERE n.v = 5 RETURN n").value().empty());
-  EXPECT_EQ(run_query(g, "MATCH (n:N) WHERE n.v != 5 RETURN n").value().size(), 1u);
+  EXPECT_TRUE(execute_query(g, "MATCH (n:N) WHERE n.v > 1 RETURN n").value().rows.empty());
+  EXPECT_TRUE(execute_query(g, "MATCH (n:N) WHERE n.v = 5 RETURN n").value().rows.empty());
+  EXPECT_EQ(execute_query(g, "MATCH (n:N) WHERE n.v != 5 RETURN n").value().rows.size(), 1u);
 }
 
 TEST(QueryWhere, FilterOnMidPathVariable) {
   const PropertyGraph g = training_graph();
   // Filter on a variable that is not returned.
-  const auto rows = run_query(
+  const auto rows = execute_query(
       g,
       R"(MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity)
          WHERE a.provml:run_name = "run_0" RETURN e)");
   ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  EXPECT_EQ(rows.value().size(), 2u);
-  const auto none = run_query(
+  EXPECT_EQ(rows.value().rows.size(), 2u);
+  const auto none = execute_query(
       g,
       R"(MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity)
          WHERE a.provml:run_name = "other" RETURN e)");
-  EXPECT_TRUE(none.value().empty());
+  EXPECT_TRUE(none.value().rows.empty());
 }
 
 // ------------------------------------------------------ extended grammar
@@ -530,21 +537,6 @@ TEST(QueryOracle, MissingOrderPropertySortsFirst) {
   ASSERT_EQ(rs.value().rows.size(), 2u);
   EXPECT_EQ(rs.value().rows[0][0].as_int(), static_cast<std::int64_t>(without));
   EXPECT_EQ(rs.value().rows[1][0].as_int(), static_cast<std::int64_t>(with));
-}
-
-TEST(QueryOracle, BindingApiRejectsAggregates) {
-  const PropertyGraph g = training_graph();
-  const auto q = parse_query("MATCH (e:Entity) RETURN count(e)");
-  ASSERT_TRUE(q.ok());
-  EXPECT_FALSE(run_query(g, q.value()).ok());
-  EXPECT_FALSE(run_query_brute_force(g, q.value()).ok());
-}
-
-TEST(QueryOracle, BindingApiHonorsLimit) {
-  const PropertyGraph g = training_graph();
-  const auto rows = run_query(g, "MATCH (n) RETURN n LIMIT 2");
-  ASSERT_TRUE(rows.ok()) << rows.error().to_string();
-  EXPECT_EQ(rows.value().size(), 2u);
 }
 
 // --------------------------------------------------- plan shape / costing
@@ -850,6 +842,110 @@ TEST(QueryCursorEngine, GeneratedQueriesPageToOracle) {
       }
     }
   }
+}
+
+// Executor paths the random generator reaches only by chance, pinned
+// against the oracle: the one-shot table and cursor drains at page sizes
+// 1 and 7 must all equal execute_query_brute_force.
+
+void expect_pages_match_oracle(const PropertyGraph& g, const std::string& text) {
+  const auto query = parse_query(text);
+  ASSERT_TRUE(query.ok()) << text;
+  const auto brute = execute_query_brute_force(g, query.value());
+  ASSERT_TRUE(brute.ok()) << text;
+  const auto planned = execute_query(g, query.value());
+  ASSERT_TRUE(planned.ok()) << text;
+  EXPECT_TRUE(planned.value() == brute.value()) << text;
+  for (const std::size_t page_size : {std::size_t{1}, std::size_t{7}}) {
+    auto cursor = QueryCursor::open(g, query.value());
+    ASSERT_TRUE(cursor.ok()) << text;
+    EXPECT_TRUE(drain_cursor(cursor.value(), page_size) == brute.value())
+        << text << " at page_size " << page_size;
+  }
+}
+
+TEST(QueryCursorEngine, UnboundedPlainQueryWalksReversedPlan) {
+  // Written sink-first, so the planner anchors on the two Sources and
+  // walks backwards; without a LIMIT the cursor follows the plan. The
+  // Sources feed interleaved Sinks, so the reversed walk finds paths
+  // grouped by Source — not canonical order — and the flipped paths must
+  // be sorted back before any row leaves.
+  PropertyGraph g;
+  const NodeId a = g.add_node({"Source"});
+  const NodeId b = g.add_node({"Source"});
+  for (int i = 0; i < 8; ++i) {
+    const NodeId sink = g.add_node({"Sink"}, json::make_object({{"i", i}}));
+    ASSERT_TRUE(g.add_edge(i % 2 == 0 ? b : a, sink, "feeds").ok());
+  }
+  const char* kQueries[] = {
+      "MATCH (k:Sink)<-[:feeds]-(s:Source) RETURN s, k",
+      "MATCH (k:Sink)<-[:feeds]-(s:Source) RETURN s",  // rows collapse
+      "MATCH (k:Sink)<-[:feeds]-(s:Source) RETURN k SKIP 3",
+      "MATCH (k:Sink)<-[:feeds]-(s:Source) WHERE k.i >= 3 RETURN s, k",
+  };
+  for (const char* text : kQueries) {
+    const auto query = parse_query(text);
+    ASSERT_TRUE(query.ok()) << text;
+    EXPECT_TRUE(explain_query(g, query.value()).reversed) << text;
+    auto cursor = QueryCursor::open(g, query.value());
+    ASSERT_TRUE(cursor.ok()) << text;
+    EXPECT_FALSE(cursor.value().streaming()) << text;
+    expect_pages_match_oracle(g, text);
+  }
+}
+
+TEST(QueryCursorEngine, OrderByTiesKeepBaseOrderUnderSkipLimit) {
+  // Every row has the same sort key, so only the base-order tiebreak
+  // decides which rows the bounded heap keeps.
+  PropertyGraph g;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(g.add_node({"N"}, json::make_object({{"v", 7}})));
+  }
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+    ASSERT_TRUE(g.add_edge(ids[i], ids[i + 1], "r").ok());
+  }
+  const auto rs = execute_query(g, "MATCH (n:N) RETURN n ORDER BY n.v DESC SKIP 3 LIMIT 5");
+  ASSERT_TRUE(rs.ok()) << rs.error().to_string();
+  ASSERT_EQ(rs.value().rows.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(rs.value().rows[i][0].as_int(), static_cast<std::int64_t>(ids[3 + i]));
+  }
+  expect_pages_match_oracle(g, "MATCH (n:N) RETURN n ORDER BY n.v DESC SKIP 3 LIMIT 5");
+  expect_pages_match_oracle(g, "MATCH (n:N) RETURN n ORDER BY n.v SKIP 18 LIMIT 5");
+  expect_pages_match_oracle(
+      g, "MATCH (a:N)-[:r]->(b:N) RETURN a, b ORDER BY b.v, a.v DESC SKIP 2 LIMIT 4");
+}
+
+TEST(QueryCursorEngine, ReversedAggregateOrderByCountLimit) {
+  // Three Sources feeding 5, 3 and 5 Sinks, plus idle Sinks that make the
+  // Sink end expensive: the planner reverses onto Source. count(k) ties
+  // between the first and third Source, and the group order breaks it.
+  PropertyGraph g;
+  std::vector<NodeId> sources;
+  for (const int width : {5, 3, 5}) {
+    const NodeId src = g.add_node({"Source"});
+    sources.push_back(src);
+    for (int i = 0; i < width; ++i) {
+      ASSERT_TRUE(g.add_edge(src, g.add_node({"Sink"}), "feeds").ok());
+    }
+  }
+  for (int i = 0; i < 10; ++i) g.add_node({"Sink"});
+  const char* text =
+      "MATCH (k:Sink)<-[:feeds]-(s:Source) RETURN s, count(k) ORDER BY count(k) DESC LIMIT 2";
+  const auto query = parse_query(text);
+  ASSERT_TRUE(query.ok());
+  EXPECT_TRUE(explain_query(g, query.value()).reversed);
+  const auto rs = execute_query(g, query.value());
+  ASSERT_TRUE(rs.ok()) << rs.error().to_string();
+  ASSERT_EQ(rs.value().rows.size(), 2u);
+  EXPECT_EQ(rs.value().rows[0][0].as_int(), static_cast<std::int64_t>(sources[0]));
+  EXPECT_EQ(rs.value().rows[0][1].as_int(), 5);
+  EXPECT_EQ(rs.value().rows[1][0].as_int(), static_cast<std::int64_t>(sources[2]));
+  EXPECT_EQ(rs.value().rows[1][1].as_int(), 5);
+  expect_pages_match_oracle(g, text);
+  expect_pages_match_oracle(
+      g, "MATCH (k:Sink)<-[:feeds]-(s:Source) RETURN s, count(k) ORDER BY count(k) SKIP 1 LIMIT 1");
 }
 
 TEST(CompareValues, TotalOrderAcrossTypes) {

@@ -583,7 +583,10 @@ TEST_F(WalTest, SaveOnAttachedServiceIsCompaction) {
   EXPECT_GE(stats.compactions, 1u);
 }
 
-TEST_F(WalTest, LegacyIndexJsonStoreStillLoads) {
+TEST_F(WalTest, PreWalIndexJsonStoreIsRejected) {
+  // The pre-WAL layout (index.json + one file per document) is no longer
+  // read. Loading or attaching it must fail by name, and attaching must
+  // not lay an empty WAL store over it (which would serve it empty).
   fs::create_directories(dir_);
   const std::string doc_json = prov::to_prov_json_string(tiny_doc("legacy"), false);
   ASSERT_TRUE(io::write_text_atomic((dir_ / "legacy.prov.json").string(), doc_json).ok());
@@ -591,17 +594,19 @@ TEST_F(WalTest, LegacyIndexJsonStoreStillLoads) {
                   (dir_ / "index.json").string(),
                   "{\"documents\":[{\"name\":\"legacy\",\"file\":\"legacy.prov.json\"}]}")
                   .ok());
-  ASSERT_FALSE(store_exists(dir()));  // wal-layer: no wal files yet
-  ASSERT_TRUE(graphstore::YProvService::store_exists(dir()));
+  EXPECT_FALSE(graphstore::YProvService::store_exists(dir()));
+
   auto loaded = graphstore::YProvService::load(dir());
-  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
-  EXPECT_EQ(loaded.value().document_count(), 1u);
-  // First save upgrades the layout in place.
-  ASSERT_TRUE(loaded.value().save(dir()).ok());
-  EXPECT_TRUE(store_exists(dir()));
-  auto recovered = recover(dir());
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(recovered.value().documents.count("legacy"));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().message.find("pre-WAL"), std::string::npos)
+      << loaded.error().to_string();
+
+  graphstore::YProvService service;
+  const Status attached = service.attach_wal(dir());
+  ASSERT_FALSE(attached.ok());
+  EXPECT_NE(attached.error().message.find("pre-WAL"), std::string::npos)
+      << attached.error().to_string();
+  EXPECT_FALSE(store_exists(dir()));
 }
 
 // ------------------------------------------------------------ group commit
