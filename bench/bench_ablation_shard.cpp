@@ -68,7 +68,7 @@ void BM_ShardedBulkIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(corpus().size()));
   state.SetLabel(std::to_string(shards) + " shard(s)");
 }
-BENCHMARK(BM_ShardedBulkIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedBulkIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Concurrent routed writers: each thread PUT-replaces its own slice of
 /// the corpus through the HTTP-shaped handle() path. With one shard every
@@ -109,7 +109,7 @@ void BM_ShardedConcurrentPuts(benchmark::State& state) {
   state.SetLabel(std::to_string(service.shard_count()) + " shard(s), " +
                  std::to_string(kWriters) + " writers");
 }
-BENCHMARK(BM_ShardedConcurrentPuts)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedConcurrentPuts)->Arg(1)->Arg(4)->Arg(8)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Mixed workload: concurrent writers replace documents while readers run
 /// list/document/stats/query rounds. Readers take every stripe shared, so
@@ -167,7 +167,7 @@ void BM_ShardedMixedReadWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (kWriters + kReaders) * kOpsEach);
   state.SetLabel(std::to_string(service.shard_count()) + " shard(s)");
 }
-BENCHMARK(BM_ShardedMixedReadWrite)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedMixedReadWrite)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Group-commit WAL: concurrent appenders against one kEveryWrite store.
 /// The counter to watch is fsyncs_per_append — 1.0 single-threaded by
@@ -213,7 +213,7 @@ void BM_WalGroupCommitAppend(benchmark::State& state) {
   store.value().reset();
   fs::remove_all(dir);
 }
-BENCHMARK(BM_WalGroupCommitAppend)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WalGroupCommitAppend)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 #include "provml/compress/lzss.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "provml/common/fault_inject.hpp"
 
@@ -202,7 +202,7 @@ Bytes shuffle_bytes(ByteView input, std::size_t element_size) {
       out[plane * elements + e] = input[e * element_size + plane];
     }
   }
-  std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  std::copy(input.begin() + body, input.end(), out.begin() + body);  // the ragged tail
   return out;
 }
 
@@ -216,7 +216,7 @@ Bytes unshuffle_bytes(ByteView input, std::size_t element_size) {
       out[e * element_size + plane] = input[plane * elements + e];
     }
   }
-  std::memcpy(out.data() + body, input.data() + body, input.size() - body);
+  std::copy(input.begin() + body, input.end(), out.begin() + body);  // the ragged tail
   return out;
 }
 

@@ -18,7 +18,7 @@
 //   · reads (GET routes, POST /api/v0/query, list/count) lock EVERY
 //     stripe shared, acquired in ascending shard order.
 // Deadlock freedom: writers hold at most one stripe and block acquiring
-// none, and all multi-stripe acquirers (readers, bulk ingest, rebuild)
+// none, and all multi-stripe acquirers (readers, bulk ingest, hydration)
 // take stripes in the same canonical ascending order, so the waits-for
 // graph cannot contain a cycle. Every successful mutation bumps one
 // monotonic graph version (a single atomic, independent of sharding),
@@ -26,10 +26,11 @@
 // pointer/reference accessors (get_document(), graph()) bypass the locks
 // and are for single-threaded embedders or setup/teardown.
 //
-// Bulk ingest (put_documents) holds all stripes exclusively, pre-interns
-// the PROV vocabulary serially, then fans per-shard document batches out
-// across the shared ThreadPool — distinct shards touch disjoint graph
-// tables, so the batches run without further synchronization.
+// One apply path: every put (PUT, put_document, put_documents, and the
+// hydration in attach_wal/load) goes through apply_document, and every
+// rollback through restore_document. Bulk ingest and hydration hold all
+// stripes exclusively and fan per-shard batches out across the shared
+// ThreadPool — distinct shards touch disjoint graph tables.
 //
 // Durability: attach_wal(dir) puts a write-ahead log under the service —
 // every successful PUT/DELETE appends a logical record (and fsyncs, per
@@ -149,7 +150,9 @@ class YProvService {
   /// subsequent successful mutation *before* acknowledging it, under the
   /// same exclusive stripe lock that applies it. After a crash, attach_wal
   /// on the same dir restores exactly the acknowledged mutation prefix.
-  /// A pre-WAL directory (index.json, no WAL files) is refused.
+  /// A pre-WAL directory (index.json, no WAL files) is refused, and a
+  /// recovered document that fails to ingest fails the call, leaving the
+  /// service empty.
   [[nodiscard]] Status attach_wal(const std::string& dir, wal::Options options = {});
   [[nodiscard]] bool wal_attached() const { return wal_ != nullptr; }
   /// Durability counters for /api/v0/health; zeroed when no WAL attached.
@@ -162,8 +165,8 @@ class YProvService {
   /// otherwise it replaces whatever store lives at `dir`.
   [[nodiscard]] Status save(const std::string& dir) const;
   /// Restores a service from a WAL store dir (newest snapshot + log tail).
-  /// A pre-WAL directory (index.json, no WAL files) is an error. The
-  /// returned service is detached — use attach_wal() to keep logging.
+  /// It fails exactly where attach_wal() would. The returned service is
+  /// detached — use attach_wal() to keep logging.
   [[nodiscard]] static Expected<YProvService> load(const std::string& dir);
   /// Whether `dir` holds a WAL store.
   [[nodiscard]] static bool store_exists(const std::string& dir);
@@ -189,8 +192,8 @@ class YProvService {
   /// One resumable server-side cursor. Pinned to the graph_version it was
   /// opened at: any write bumps the version, so resuming checks the pin
   /// and turns stale cursors into 410 Gone instead of reading freed state.
-  /// (A QueryCursor holds raw pointers into graph_ tables; rebuild_graph()
-  /// move-assigns a fresh graph, so a post-write resume would be UB —
+  /// (A QueryCursor holds raw pointers into graph_ tables; a write can
+  /// free the nodes they point at, so a post-write resume would be UB —
   /// the version pin is correctness, not just freshness.)
   struct OpenCursor {
     QueryCursor cursor;
@@ -217,9 +220,21 @@ class YProvService {
   void reap_cursors_locked(std::chrono::steady_clock::time_point now);
   Status put_document_impl(const std::string& name, const prov::Document& doc);
   Expected<bool> delete_document_impl(const std::string& name);
-  /// Re-ingests every stored document into a fresh graph, one ThreadPool
-  /// task per shard. Caller holds every stripe exclusively.
-  void rebuild_graph();
+  /// The one put into documents_ and graph_: stores `doc` in its home
+  /// shard (a replaced version moves to `previous`) and ingests it. A
+  /// failed ingest is undone before the error returns.
+  Expected<IngestStats> apply_document(const std::string& name, prov::Document doc,
+                                       std::optional<prov::Document>& previous);
+  /// The one undo: drops `name`'s current version, reinstates `previous`.
+  void restore_document(const std::string& name, std::optional<prov::Document> previous);
+  /// put_documents' body: copies out of a const batch, moves out of a
+  /// mutable one. Caller holds every stripe exclusively.
+  template <typename Batch>
+  Expected<IngestStats> apply_batch(Batch& docs);
+  /// Parses recovered bodies into apply_batch. Caller holds every stripe
+  /// exclusively and has not set wal_, so nothing is re-logged.
+  Status hydrate(const std::map<std::string, std::string>& bodies);
+  [[nodiscard]] std::vector<std::string> document_names_unlocked() const;  ///< sorted
   void bump_version() { version_.fetch_add(1, std::memory_order_acq_rel); }
 
   std::vector<std::unique_ptr<Stripe>> stripes_;

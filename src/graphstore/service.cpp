@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -107,6 +108,28 @@ bool pre_wal_layout(const std::string& dir) {
   return !wal::store_exists(dir) && fs::exists(fs::path(dir) / "index.json");
 }
 
+bool valid_document_name(const std::string& name) {
+  return !name.empty() && name.find('/') == std::string::npos;
+}
+
+void accumulate(IngestStats& into, const IngestStats& from) {
+  into.nodes_added += from.nodes_added;
+  into.edges_added += from.edges_added;
+  into.elements_merged += from.elements_merged;
+}
+
+/// Runs `task(s)` for every shard s: inline for one shard, otherwise one
+/// shared-ThreadPool task per shard. Returns once every task has run.
+void for_each_shard(std::size_t shards, const std::function<void(std::size_t)>& task) {
+  if (shards == 1) return task(0);
+  std::vector<std::future<void>> done;
+  for (std::size_t s = 0; s < shards; ++s) {
+    done.push_back(common::ThreadPool::shared().submit([&task, s] { task(s); }));
+  }
+  for (std::future<void>& f : done) f.wait();  // every task ends before any rethrow
+  for (std::future<void>& f : done) f.get();
+}
+
 }  // namespace
 
 YProvService::YProvService(std::size_t shards) : graph_(shards) {
@@ -166,42 +189,20 @@ Status YProvService::put_document(const std::string& name, const prov::Document&
 }
 
 Status YProvService::put_document_impl(const std::string& name, const prov::Document& doc) {
-  if (name.empty() || name.find('/') != std::string::npos) {
-    return Error{"invalid document name", name};
-  }
+  if (!valid_document_name(name)) return Error{"invalid document name", name};
   // Apply in memory first (ingest can reject the document), log second,
-  // acknowledge last. A failure rolls the memory state back, so the log
-  // holds exactly the acknowledged mutations — never more. Everything here
-  // touches only the document's home shard.
-  std::map<std::string, prov::Document>& docs = documents_[shard_for(name)];
-  const auto it = docs.find(name);
-  const bool replacing = it != docs.end();
+  // acknowledge last. A WAL failure restores the previous version, so the
+  // log holds exactly the acknowledged mutations — never more. Everything
+  // here touches only the document's home shard.
   std::optional<prov::Document> previous;
-  if (replacing) {
-    previous = std::move(it->second);
-    remove_document(graph_, name);  // replace semantics: drop the old nodes
-  }
-  docs[name] = doc;
-  auto restore = [&] {
-    remove_document(graph_, name);  // sweep any partially ingested nodes
-    docs.erase(name);
-    if (replacing) {
-      docs[name] = std::move(*previous);
-      // The previous body ingested successfully once; re-ingest restores it.
-      (void)ingest_document(graph_, docs[name], name);
-    }
-  };
-  Expected<IngestStats> stats = ingest_document(graph_, doc, name);
-  if (!stats.ok()) {
-    restore();
-    return stats.error();
-  }
+  Expected<IngestStats> stats = apply_document(name, doc, previous);
+  if (!stats.ok()) return stats.error();
   if (wal_ != nullptr) {
     Expected<wal::Lsn> lsn = wal_->append(
         {wal::Record::Type::kPutDocument, name,
          prov::to_prov_json_string(doc, /*pretty=*/false)});
     if (!lsn.ok()) {
-      restore();
+      restore_document(name, std::move(previous));
       return wal_error(lsn.error());
     }
   }
@@ -209,30 +210,34 @@ Status YProvService::put_document_impl(const std::string& name, const prov::Docu
   return Status::ok_status();
 }
 
-void YProvService::rebuild_graph() {
-  PropertyGraph fresh{shard_count()};
-  preintern_prov_vocabulary(fresh);
-  if (shard_count() == 1) {
-    for (const auto& [name, doc] : documents_[0]) {
-      // Stored documents ingested successfully once; a failure here would
-      // indicate internal inconsistency, so drop the offender quietly.
-      (void)ingest_document(fresh, doc, name);
-    }
-  } else {
-    // One task per shard: each touches only its own graph shard (documents
-    // are placed by shard_for_scope), so the tasks need no locking.
-    std::vector<std::future<void>> done;
-    done.reserve(shard_count());
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      done.push_back(common::ThreadPool::shared().submit([this, &fresh, s] {
-        for (const auto& [name, doc] : documents_[s]) {
-          (void)ingest_document(fresh, doc, name);
-        }
-      }));
-    }
-    for (std::future<void>& f : done) f.get();
+Expected<IngestStats> YProvService::apply_document(const std::string& name,
+                                                   prov::Document doc,
+                                                   std::optional<prov::Document>& previous) {
+  const auto [it, inserted] = documents_[shard_for(name)].try_emplace(name);
+  if (!inserted) {
+    previous = std::move(it->second);
+    remove_document(graph_, name);  // replace semantics: drop the old nodes
   }
-  graph_ = std::move(fresh);
+  it->second = std::move(doc);
+  Expected<IngestStats> stats = ingest_document(graph_, it->second, name);
+  if (!stats.ok()) {
+    restore_document(name, std::move(previous));
+    previous.reset();
+  }
+  return stats;
+}
+
+void YProvService::restore_document(const std::string& name,
+                                    std::optional<prov::Document> previous) {
+  remove_document(graph_, name);  // sweep the current, possibly partial, nodes
+  std::map<std::string, prov::Document>& docs = documents_[shard_for(name)];
+  if (!previous.has_value()) {
+    docs.erase(name);
+    return;
+  }
+  const prov::Document& restored = docs[name] = std::move(*previous);
+  // The previous version ingested successfully once; re-ingest restores it.
+  (void)ingest_document(graph_, restored, name);
 }
 
 const prov::Document* YProvService::get_document(const std::string& name) const {
@@ -260,13 +265,17 @@ Expected<bool> YProvService::delete_document_impl(const std::string& name) {
     if (!lsn.ok()) return wal_error(lsn.error());
   }
   docs.erase(name);
-  remove_document(graph_, name);  // shard-local; no global rebuild
+  remove_document(graph_, name);  // shard-local
   bump_version();
   return true;
 }
 
 std::vector<std::string> YProvService::list_documents() const {
   const auto locks = lock_all_shared();
+  return document_names_unlocked();
+}
+
+std::vector<std::string> YProvService::document_names_unlocked() const {
   std::vector<std::string> names;
   names.reserve(document_count_unlocked());
   for (const auto& docs : documents_) {
@@ -290,12 +299,15 @@ std::size_t YProvService::document_count_unlocked() const {
 Expected<IngestStats> YProvService::put_documents(
     const std::vector<std::pair<std::string, prov::Document>>& docs) {
   const auto locks = lock_all_exclusive();
+  return apply_batch(docs);
+}
+
+template <typename Batch>
+Expected<IngestStats> YProvService::apply_batch(Batch& docs) {
   // Serial prologue: validate every name and pre-intern the PROV
   // vocabulary so the parallel phase takes only shared interner locks.
   for (const auto& [name, doc] : docs) {
-    if (name.empty() || name.find('/') != std::string::npos) {
-      return Error{"invalid document name", name};
-    }
+    if (!valid_document_name(name)) return Error{"invalid document name", name};
   }
   preintern_prov_vocabulary(graph_);
 
@@ -305,10 +317,11 @@ Expected<IngestStats> YProvService::put_documents(
     by_shard[shard_for(docs[i].first)].push_back(i);
   }
 
-  // Map: one task per non-empty shard applies its documents in order.
-  // Distinct shards touch disjoint graph tables and document maps, so the
-  // tasks need no locking. Each task records what it applied (for
-  // rollback) and stops its shard at the first failure.
+  // Map: one task per shard applies its documents in order. Distinct
+  // shards touch disjoint graph tables and document maps, so the tasks
+  // need no locking. Each task records what it applied (for rollback) and
+  // stops its shard at the first failure, which apply_document has
+  // already undone.
   struct Applied {
     std::size_t index;
     std::optional<prov::Document> previous;  ///< set when replacing
@@ -319,94 +332,62 @@ Expected<IngestStats> YProvService::put_documents(
     std::optional<Error> error;
   };
   std::vector<ShardOutcome> outcomes(shard_count());
-  auto apply_shard = [&](std::size_t s) {
+  for_each_shard(shard_count(), [&](std::size_t s) {
     ShardOutcome& outcome = outcomes[s];
     for (const std::size_t i : by_shard[s]) {
-      const auto& [name, doc] = docs[i];
-      std::map<std::string, prov::Document>& shard_docs = documents_[s];
-      const auto it = shard_docs.find(name);
       Applied applied{i, std::nullopt};
-      if (it != shard_docs.end()) {
-        applied.previous = std::move(it->second);
-        remove_document(graph_, name);
-      }
-      shard_docs[name] = doc;
-      Expected<IngestStats> stats = ingest_document(graph_, doc, name);
+      // std::move copies out of a const batch (put_documents) and moves
+      // out of a mutable one (hydration).
+      Expected<IngestStats> stats =
+          apply_document(docs[i].first, std::move(docs[i].second), applied.previous);
       if (!stats.ok()) {
-        remove_document(graph_, name);
-        shard_docs.erase(name);
-        if (applied.previous.has_value()) {
-          shard_docs[name] = std::move(*applied.previous);
-          (void)ingest_document(graph_, shard_docs[name], name);
-        }
         outcome.error = stats.error();
         return;
       }
-      outcome.stats.nodes_added += stats.value().nodes_added;
-      outcome.stats.edges_added += stats.value().edges_added;
-      outcome.stats.elements_merged += stats.value().elements_merged;
+      accumulate(outcome.stats, stats.value());
       outcome.applied.push_back(std::move(applied));
     }
-  };
-  std::vector<std::future<void>> done;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    if (by_shard[s].empty()) continue;
-    if (shard_count() == 1) {
-      apply_shard(s);
-    } else {
-      done.push_back(common::ThreadPool::shared().submit([&apply_shard, s] { apply_shard(s); }));
-    }
-  }
-  for (std::future<void>& f : done) f.get();
+  });
 
-  // Undoes one applied document: removes it and restores what it replaced.
-  auto undo = [&](const Applied& applied) {
-    const std::string& name = docs[applied.index].first;
-    std::map<std::string, prov::Document>& shard_docs = documents_[shard_for(name)];
-    remove_document(graph_, name);
-    shard_docs.erase(name);
-    if (applied.previous.has_value()) {
-      shard_docs[name] = *applied.previous;
-      (void)ingest_document(graph_, shard_docs[name], name);
+  // Every applied document in input order. The WAL logs in this order, and
+  // rollback walks it backwards, so a name put twice in one batch returns
+  // to the version that preceded the batch.
+  std::vector<Applied*> in_input_order;
+  for (ShardOutcome& outcome : outcomes) {
+    for (Applied& applied : outcome.applied) in_input_order.push_back(&applied);
+  }
+  std::sort(in_input_order.begin(), in_input_order.end(),
+            [](const Applied* a, const Applied* b) { return a->index < b->index; });
+  auto roll_back_from = [&](std::size_t k) {
+    for (std::size_t j = in_input_order.size(); j-- > k;) {
+      restore_document(docs[in_input_order[j]->index].first,
+                       std::move(in_input_order[j]->previous));
     }
   };
 
   // Reduce: an ingest error anywhere rolls the whole batch back (nothing
   // was logged yet), keeping batch semantics all-or-nothing.
-  for (const ShardOutcome& outcome : outcomes) {
-    if (!outcome.error.has_value()) continue;
-    for (const ShardOutcome& o : outcomes) {
-      for (const Applied& applied : o.applied) undo(applied);
-    }
-    return *outcome.error;
-  }
-
   IngestStats total;
   for (const ShardOutcome& outcome : outcomes) {
-    total.nodes_added += outcome.stats.nodes_added;
-    total.edges_added += outcome.stats.edges_added;
-    total.elements_merged += outcome.stats.elements_merged;
+    if (outcome.error.has_value()) {
+      roll_back_from(0);
+      return *outcome.error;
+    }
+    accumulate(total, outcome.stats);
   }
 
   // Log serially in input order so recovery replays the same sequence. A
   // WAL failure keeps the logged prefix applied (memory == log == what
-  // recovery reproduces) and rolls back the unlogged suffix.
+  // recovery reproduces) and rolls back the unlogged suffix. Hydration
+  // runs before wal_ is set, so its moved-from batch is never logged.
   if (wal_ != nullptr) {
-    std::vector<const Applied*> in_input_order;
-    for (const ShardOutcome& outcome : outcomes) {
-      for (const Applied& applied : outcome.applied) in_input_order.push_back(&applied);
-    }
-    std::sort(in_input_order.begin(), in_input_order.end(),
-              [](const Applied* a, const Applied* b) { return a->index < b->index; });
     for (std::size_t k = 0; k < in_input_order.size(); ++k) {
       const auto& [name, doc] = docs[in_input_order[k]->index];
       Expected<wal::Lsn> lsn = wal_->append(
           {wal::Record::Type::kPutDocument, name,
            prov::to_prov_json_string(doc, /*pretty=*/false)});
       if (!lsn.ok()) {
-        for (std::size_t j = in_input_order.size(); j-- > k;) {
-          undo(*in_input_order[j]);
-        }
+        roll_back_from(k);
         if (k > 0) bump_version();  // the logged prefix stays applied
         return wal_error(lsn.error());
       }
@@ -510,13 +491,8 @@ Response YProvService::route(const Request& request) {
   // GET /api/v0/documents — list.
   if (rest.empty()) {
     if (request.method != "GET") return method_not_allowed("GET");
-    std::vector<std::string> sorted;
-    for (const auto& docs : documents_) {
-      for (const auto& [name, doc] : docs) sorted.push_back(name);
-    }
-    std::sort(sorted.begin(), sorted.end());
     json::Array names;
-    for (std::string& name : sorted) names.emplace_back(std::move(name));
+    for (std::string& name : document_names_unlocked()) names.emplace_back(std::move(name));
     json::Object body;
     body.set("documents", std::move(names));
     return Response{200, json::write(json::Value(std::move(body))), ""};
@@ -558,14 +534,9 @@ Response YProvService::route(const Request& request) {
   }
 
   if (parts.size() == 2 && parts[1] == "stats") {
-    std::size_t nodes = 0;
-    for (const NodeId id : graph_.nodes_with_label("Prov")) {
-      const json::Value* doc_prop = graph_.node(id)->properties.find("document");
-      if (doc_prop != nullptr && doc_prop->as_string() == name) ++nodes;
-    }
     json::Object body;
     body.set("document", name);
-    body.set("nodes", nodes);
+    body.set("nodes", graph_.count_with_property("Prov", "document", json::Value(name)));
     return Response{200, json::write(json::Value(std::move(body))), ""};
   }
 
@@ -767,7 +738,17 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
   if (pre_wal_layout(dir)) return Error{kPreWalLayout, dir};
   Expected<std::unique_ptr<wal::DurableStore>> store = wal::DurableStore::open(dir, options);
   if (!store.ok()) return store.error();
-  for (auto& [name, body] : store.value()->recovered().documents) {
+  Status hydrated = hydrate(store.value()->recovered().documents);
+  if (!hydrated.ok()) return hydrated;
+  wal_ = std::move(store.value());
+  bump_version();
+  return Status::ok_status();
+}
+
+Status YProvService::hydrate(const std::map<std::string, std::string>& bodies) {
+  std::vector<std::pair<std::string, prov::Document>> docs;
+  docs.reserve(bodies.size());
+  for (const auto& [name, body] : bodies) {
     Expected<json::Value> parsed = json::parse(body);
     if (!parsed.ok()) {
       return Error{"wal-recovered document does not parse: " + parsed.error().message,
@@ -778,11 +759,10 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
       return Error{"wal-recovered document is not PROV-JSON: " + doc.error().message,
                    name};
     }
-    documents_[shard_for(name)][name] = std::move(doc.value());
+    docs.emplace_back(name, std::move(doc.value()));
   }
-  rebuild_graph();
-  wal_ = std::move(store.value());
-  bump_version();
+  Expected<IngestStats> applied = apply_batch(docs);
+  if (!applied.ok()) return applied.error();
   return Status::ok_status();
 }
 
@@ -833,13 +813,10 @@ Expected<YProvService> YProvService::load(const std::string& dir) {
   Expected<wal::RecoveredState> recovered = wal::recover(dir);
   if (!recovered.ok()) return recovered.error();
   YProvService service;
-  for (auto& [name, body] : recovered.value().documents) {
-    Expected<json::Value> parsed = json::parse(body);
-    if (!parsed.ok()) return Error{"stored document does not parse", name};
-    Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-    if (!doc.ok()) return doc.error();
-    Status s = service.put_document(name, doc.value());
-    if (!s.ok()) return s.error();
+  {
+    const auto locks = service.lock_all_exclusive();
+    Status hydrated = service.hydrate(recovered.value().documents);
+    if (!hydrated.ok()) return hydrated.error();
   }
   return service;
 }

@@ -107,7 +107,9 @@ class HttpServer {
 
   [[nodiscard]] ServerStats stats() const;
 
-  /// Must be set before start().
+  /// Must be set before start(). One line per request; when the handler
+  /// throws, the client gets a generic 500 and the line ends with
+  /// "error: <what()>".
   void set_access_logger(AccessLogger logger) { access_logger_ = std::move(logger); }
 
  private:

@@ -609,13 +609,14 @@ void HttpServer::worker_loop() {
 
     const auto t0 = std::chrono::steady_clock::now();
     HttpResponse response;
+    std::string failure;  // the handler's exception text, for the access log
     try {
       response = handler_(job.request);
     } catch (const std::exception& e) {
       response = HttpResponse{};
       response.status = 500;
       response.body = json_error("internal error");
-      (void)e;
+      failure = e.what();
     }
     const auto latency_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -631,7 +632,8 @@ void HttpServer::worker_loop() {
       access_logger_(job.request.method + " " + job.request.target + " " +
                      std::to_string(response.status) + " " +
                      std::to_string(head.size() + response.body.size()) + " " +
-                     std::to_string(latency_us) + "us");
+                     std::to_string(latency_us) + "us" +
+                     (failure.empty() ? "" : " error: " + failure));
     }
     {
       const std::lock_guard<std::mutex> lock(done_mutex_);

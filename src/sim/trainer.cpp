@@ -14,7 +14,11 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
   const double power = config_.cluster.power_draw_w(config_.ddp.devices, utilization);
 
   std::mt19937_64 rng(config_.seed);
-  std::normal_distribution<double> jitter(0.0, config_.loss_noise_sigma);
+  // A normal distribution needs a positive stddev, so a noiseless run
+  // draws nothing and every jitter is exactly 0.
+  const bool noisy = config_.loss_noise_sigma > 0.0;
+  std::normal_distribution<double> normal(0.0, noisy ? config_.loss_noise_sigma : 1.0);
+  auto jitter = [&] { return noisy ? std::abs(normal(rng)) : 0.0; };
 
   TrainResult result;
   result.step_time_s = step_time;
@@ -39,7 +43,7 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
       result.completed = false;
       result.epochs_finished = epoch;
       result.final_loss = config_.model.loss_after(static_cast<double>(samples_seen)) +
-                          std::abs(jitter(rng));
+                          jitter();
       result.wall_time_s = clock_s;
       result.energy_j = energy_j;
       result.samples_seen = samples_seen;
@@ -50,10 +54,10 @@ TrainResult DdpTrainer::run(const EpochObserver& observer) const {
     energy_j += epoch_time * power;
     samples_seen += steps_per_epoch * config_.ddp.global_batch();
     loss = config_.model.loss_after(static_cast<double>(samples_seen)) +
-           std::abs(jitter(rng));
+           jitter();
     // Drawn unconditionally: observed and unobserved runs must stay
     // bit-identical under the same seed (reproducibility guarantee).
-    const double val_jitter = std::abs(jitter(rng));
+    const double val_jitter = jitter();
 
     if (observer) {
       EpochReport report;

@@ -293,10 +293,22 @@ TEST(Service, RestRoutes) {
   EXPECT_EQ(v.find("outgoing")->as_array().size(), 2u);  // used + associated
   EXPECT_EQ(v.find("incoming")->as_array().size(), 2u);  // two generations
 
-  // Stats.
+  // Stats. A second document reuses two of exp1's element ids; each
+  // document counts only its own nodes.
+  prov::Document overlapping;
+  overlapping.declare_namespace("ex", "http://example.org/");
+  overlapping.add_entity("ex:dataset");
+  overlapping.add_activity("ex:train");
+  overlapping.used("ex:train", "ex:dataset");
+  r = service.handle({"PUT", "/api/v0/documents/exp2",
+                      prov::to_prov_json_string(overlapping, false)});
+  EXPECT_EQ(r.status, 201);
   r = service.handle({"GET", "/api/v0/documents/exp1/stats", ""});
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(json::parse(r.body).take().find("nodes")->as_int(), 5);
+  r = service.handle({"GET", "/api/v0/documents/exp2/stats", ""});
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(json::parse(r.body).take().find("nodes")->as_int(), 2);
 
   // Delete.
   r = service.handle({"DELETE", "/api/v0/documents/exp1", ""});
@@ -562,6 +574,33 @@ TEST(ShardedService, BulkIngestRollsBackAtomicallyOnBadDocument) {
   EXPECT_EQ(service.document_count(), 1u);
   EXPECT_EQ(service.list_documents(), (std::vector<std::string>{"pre"}));
   EXPECT_EQ(service.graph().node_count(), nodes_before);
+}
+
+TEST(ShardedService, BulkRollbackRestoresTheVersionBeforeTheBatch) {
+  // A name put twice in one failing batch must return to the version that
+  // preceded the batch, not to the batch's first copy of it.
+  prov::Document dangling;
+  dangling.declare_namespace("ex", "http://example.org/");
+  dangling.used("ex:ghost-activity", "ex:ghost-entity");
+  prov::Document first;
+  first.declare_namespace("ex", "http://example.org/");
+  first.add_entity("ex:first");
+  for (const std::size_t shards : {1u, 4u}) {
+    YProvService service(shards);
+    ASSERT_TRUE(service.put_document("d", training_doc()).ok());
+    const std::string before = prov::to_prov_json_string(*service.get_document("d"), false);
+    const std::size_t nodes_before = service.graph().node_count();
+
+    std::vector<std::pair<std::string, prov::Document>> batch;
+    batch.emplace_back("d", first);
+    batch.emplace_back("d", training_doc());
+    batch.emplace_back("d", dangling);
+    EXPECT_FALSE(service.put_documents(batch).ok());
+    ASSERT_NE(service.get_document("d"), nullptr);
+    EXPECT_EQ(prov::to_prov_json_string(*service.get_document("d"), false), before)
+        << shards << " shard(s)";
+    EXPECT_EQ(service.graph().node_count(), nodes_before) << shards << " shard(s)";
+  }
 }
 
 TEST(ShardedService, BulkIngestReportsAggregateStats) {

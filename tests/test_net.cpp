@@ -8,7 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -351,6 +353,37 @@ TEST(HttpServer, MethodNotAllowedCarriesAllowHeader) {
       "Connection: close\r\n\r\nx");
   EXPECT_NE(on_health.find("HTTP/1.1 405"), std::string::npos);
   EXPECT_NE(on_health.find("Allow: GET"), std::string::npos);
+  server.stop();
+}
+
+TEST(HttpServer, HandlerExceptionIs500WithItsCauseInTheAccessLog) {
+  ServerConfig config;
+  HttpServer server(config, [](const HttpRequest&) -> HttpResponse {
+    throw std::runtime_error("boom");
+  });
+  std::mutex log_mutex;
+  std::vector<std::string> log;
+  server.set_access_logger([&](const std::string& line) {
+    const std::lock_guard<std::mutex> lock(log_mutex);
+    log.push_back(line);
+  });
+  ASSERT_TRUE(server.start().ok());
+
+  HttpClient client("127.0.0.1", server.port());
+  const auto r = client.get("/anything");
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().status, 500);
+  // The client sees only the generic body; the cause stays server-side.
+  EXPECT_NE(r.value().body.find("internal error"), std::string::npos);
+  EXPECT_EQ(r.value().body.find("boom"), std::string::npos);
+  {
+    // The worker logs before it hands the response to the event thread.
+    const std::lock_guard<std::mutex> lock(log_mutex);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_NE(log[0].find("GET /anything 500"), std::string::npos) << log[0];
+    EXPECT_NE(log[0].find("boom"), std::string::npos) << log[0];
+  }
+  EXPECT_EQ(server.stats().responses_5xx, 1u);
   server.stop();
 }
 

@@ -609,6 +609,76 @@ TEST_F(WalTest, PreWalIndexJsonStoreIsRejected) {
   EXPECT_FALSE(store_exists(dir()));
 }
 
+// ---------------------------------------------------------------- hydration
+
+TEST_F(WalTest, HydrationRejectsADanglingRelationInLoadAndAttach) {
+  // A stored document whose relation names an undeclared element. load()
+  // and attach_wal() hydrate through the same apply path, so both refuse
+  // the store with the same cause, and attach_wal keeps no partial state.
+  prov::Document dangling;
+  dangling.declare_namespace("ex", "http://example.org/ex#");
+  dangling.add_entity("ex:only");
+  dangling.used("ex:ghost", "ex:only");
+  ASSERT_TRUE(replace_store(dir(), {{"good", prov::to_prov_json_string(tiny_doc("g"), false)},
+                                    {"bad", prov::to_prov_json_string(dangling, false)}})
+                  .ok());
+
+  auto loaded = graphstore::YProvService::load(dir());
+  ASSERT_FALSE(loaded.ok());
+  const std::string cause = loaded.error().to_string();
+  EXPECT_NE(cause.find("relation endpoint missing"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("bad"), std::string::npos) << cause;
+
+  for (const std::size_t shards : {1u, 4u}) {
+    graphstore::YProvService service(shards);
+    const Status attached = service.attach_wal(dir());
+    ASSERT_FALSE(attached.ok()) << shards << " shard(s)";
+    EXPECT_EQ(attached.error().to_string(), cause) << shards << " shard(s)";
+    EXPECT_FALSE(service.wal_attached());
+    EXPECT_EQ(service.document_count(), 0u) << shards << " shard(s)";
+    EXPECT_EQ(service.graph().node_count(), 0u) << shards << " shard(s)";
+  }
+}
+
+TEST_F(WalTest, LoadAndAttachAtAnyShardCountServeIdenticalResponses) {
+  testkit::Rng rng(20250613);
+  std::map<std::string, std::string> bodies;
+  for (int i = 0; i < 12; ++i) {
+    bodies["doc" + std::to_string(i)] =
+        prov::to_prov_json_string(testkit::gen_prov_document(rng), false);
+  }
+  ASSERT_TRUE(replace_store(dir(), bodies).ok());
+
+  // Every read a client can make of the corpus, as status + body lines.
+  auto transcript = [&bodies](graphstore::YProvService& service) {
+    std::vector<std::string> lines;
+    auto record = [&](const graphstore::Request& request) {
+      const graphstore::Response r = service.handle(request);
+      lines.push_back(std::to_string(r.status) + " " + r.body);
+    };
+    record({"GET", "/api/v0/documents", ""});
+    for (const auto& [name, body] : bodies) {
+      record({"GET", "/api/v0/documents/" + name, ""});
+      record({"GET", "/api/v0/documents/" + name + "/stats", ""});
+    }
+    record({"POST", "/api/v0/query", "MATCH (e:Entity) RETURN count(e)"});
+    return lines;
+  };
+
+  auto loaded = graphstore::YProvService::load(dir());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  const std::vector<std::string> expected = transcript(loaded.value());
+  ASSERT_EQ(expected.size(), 2 + 2 * bodies.size());
+  EXPECT_EQ(expected.front().rfind("200 ", 0), 0u) << expected.front();
+  EXPECT_EQ(expected.back().rfind("200 ", 0), 0u) << expected.back();
+
+  for (const std::size_t shards : {1u, 4u}) {
+    graphstore::YProvService service(shards);
+    ASSERT_TRUE(service.attach_wal(dir()).ok()) << shards << " shard(s)";
+    EXPECT_EQ(transcript(service), expected) << shards << " shard(s)";
+  }
+}
+
 // ------------------------------------------------------------ group commit
 
 TEST_F(WalTest, GroupCommitConcurrentAppendsAreDenseAndAllRecovered) {
