@@ -5,11 +5,19 @@
 //      after N un-compacted records buy you?
 //   3. Compaction pause — how long does folding a tail into a snapshot
 //      take, as a function of the tail length?
+//   4. Re-open — how long does a restarted service take to rebuild its
+//      graph from a store, at one shard and at four?
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 
+#include "provml/graphstore/service.hpp"
+#include "provml/prov/prov_json.hpp"
+#include "provml/testkit/gen.hpp"
+#include "provml/testkit/rng.hpp"
 #include "provml/wal/record.hpp"
 #include "provml/wal/wal.hpp"
 
@@ -137,6 +145,47 @@ BENCHMARK(BM_WalCompactionPause)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
+
+/// Times YProvService::attach_wal on a compacted store of 2 000 testkit
+/// documents (snapshot only, no log tail) with `range(0)` shards: open and
+/// CRC-check the snapshot, parse every body, and apply them per shard.
+/// Service construction and teardown are excluded.
+void BM_AttachWal(benchmark::State& state) {
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  const std::string dir = bench_dir("attach_" + std::to_string(shards));
+  {
+    testkit::Rng rng(2000);
+    std::map<std::string, std::string> bodies;
+    for (int i = 0; i < 2000; ++i) {
+      bodies["doc" + std::to_string(i)] =
+          prov::to_prov_json_string(testkit::gen_prov_document(rng), /*pretty=*/false);
+    }
+    const Status written = wal::replace_store(dir, bodies);
+    if (!written.ok()) {
+      state.SkipWithError(written.error().message.c_str());
+      return;
+    }
+  }
+  wal::Options options;
+  options.fsync_policy = wal::FsyncPolicy::kNone;
+  options.compact_every = 0;
+  std::optional<graphstore::YProvService> service;
+  for (auto _ : state) {
+    state.PauseTiming();
+    service.reset();
+    service.emplace(shards);
+    state.ResumeTiming();
+    const Status attached = service->attach_wal(dir, options);
+    if (!attached.ok()) {
+      state.SkipWithError(attached.error().message.c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2000);
+  service.reset();
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_AttachWal)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

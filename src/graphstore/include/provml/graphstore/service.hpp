@@ -30,7 +30,9 @@
 // hydration in attach_wal/load) goes through apply_document, and every
 // rollback through restore_document. Bulk ingest and hydration hold all
 // stripes exclusively and fan per-shard batches out across the shared
-// ThreadPool — distinct shards touch disjoint graph tables.
+// ThreadPool — distinct shards touch disjoint graph tables; hydration
+// first parses the recovered bodies on the same pool. A failed batch
+// reports its lowest-index failing document, as a serial apply would.
 //
 // Durability: attach_wal(dir) puts a write-ahead log under the service —
 // every successful PUT/DELETE appends a logical record (and fsyncs, per
@@ -231,9 +233,11 @@ class YProvService {
   /// mutable one. Caller holds every stripe exclusively.
   template <typename Batch>
   Expected<IngestStats> apply_batch(Batch& docs);
-  /// Parses recovered bodies into apply_batch. Caller holds every stripe
-  /// exclusively and has not set wal_, so nothing is re-logged.
-  Status hydrate(const std::map<std::string, std::string>& bodies);
+  /// Parses recovered bodies on the shared ThreadPool (freeing each once
+  /// parsed) into apply_batch; a failure names the lowest-index document.
+  /// Caller holds every stripe exclusively and has not set wal_, so
+  /// nothing is re-logged.
+  Status hydrate(std::map<std::string, std::string> bodies);
   [[nodiscard]] std::vector<std::string> document_names_unlocked() const;  ///< sorted
   void bump_version() { version_.fetch_add(1, std::memory_order_acq_rel); }
 

@@ -118,13 +118,13 @@ void accumulate(IngestStats& into, const IngestStats& from) {
   into.elements_merged += from.elements_merged;
 }
 
-/// Runs `task(s)` for every shard s: inline for one shard, otherwise one
-/// shared-ThreadPool task per shard. Returns once every task has run.
-void for_each_shard(std::size_t shards, const std::function<void(std::size_t)>& task) {
-  if (shards == 1) return task(0);
+/// Runs `task(i)` for every i in [0, n): inline when n is 1, otherwise one
+/// shared-ThreadPool task each. Returns once every task has run.
+void fan_out(std::size_t n, const std::function<void(std::size_t)>& task) {
+  if (n == 1) return task(0);
   std::vector<std::future<void>> done;
-  for (std::size_t s = 0; s < shards; ++s) {
-    done.push_back(common::ThreadPool::shared().submit([&task, s] { task(s); }));
+  for (std::size_t i = 0; i < n; ++i) {
+    done.push_back(common::ThreadPool::shared().submit([&task, i] { task(i); }));
   }
   for (std::future<void>& f : done) f.wait();  // every task ends before any rethrow
   for (std::future<void>& f : done) f.get();
@@ -330,9 +330,10 @@ Expected<IngestStats> YProvService::apply_batch(Batch& docs) {
     IngestStats stats;
     std::vector<Applied> applied;
     std::optional<Error> error;
+    std::size_t error_index = 0;  ///< input index of the failed document
   };
   std::vector<ShardOutcome> outcomes(shard_count());
-  for_each_shard(shard_count(), [&](std::size_t s) {
+  fan_out(shard_count(), [&](std::size_t s) {
     ShardOutcome& outcome = outcomes[s];
     for (const std::size_t i : by_shard[s]) {
       Applied applied{i, std::nullopt};
@@ -342,6 +343,7 @@ Expected<IngestStats> YProvService::apply_batch(Batch& docs) {
           apply_document(docs[i].first, std::move(docs[i].second), applied.previous);
       if (!stats.ok()) {
         outcome.error = stats.error();
+        outcome.error_index = i;
         return;
       }
       accumulate(outcome.stats, stats.value());
@@ -366,14 +368,22 @@ Expected<IngestStats> YProvService::apply_batch(Batch& docs) {
   };
 
   // Reduce: an ingest error anywhere rolls the whole batch back (nothing
-  // was logged yet), keeping batch semantics all-or-nothing.
+  // was logged yet), keeping batch semantics all-or-nothing. The reported
+  // error is the failed document with the lowest input index: every
+  // document before it applied, so a serial apply stops at the same one
+  // whatever the shard count.
   IngestStats total;
+  const ShardOutcome* failed = nullptr;
   for (const ShardOutcome& outcome : outcomes) {
-    if (outcome.error.has_value()) {
-      roll_back_from(0);
-      return *outcome.error;
+    if (outcome.error.has_value() &&
+        (failed == nullptr || outcome.error_index < failed->error_index)) {
+      failed = &outcome;
     }
     accumulate(total, outcome.stats);
+  }
+  if (failed != nullptr) {
+    roll_back_from(0);
+    return *failed->error;
   }
 
   // Log serially in input order so recovery replays the same sequence. A
@@ -738,28 +748,48 @@ Status YProvService::attach_wal(const std::string& dir, wal::Options options) {
   if (pre_wal_layout(dir)) return Error{kPreWalLayout, dir};
   Expected<std::unique_ptr<wal::DurableStore>> store = wal::DurableStore::open(dir, options);
   if (!store.ok()) return store.error();
-  Status hydrated = hydrate(store.value()->recovered().documents);
+  Status hydrated = hydrate(std::move(store.value()->recovered().documents));
   if (!hydrated.ok()) return hydrated;
   wal_ = std::move(store.value());
   bump_version();
   return Status::ok_status();
 }
 
-Status YProvService::hydrate(const std::map<std::string, std::string>& bodies) {
-  std::vector<std::pair<std::string, prov::Document>> docs;
-  docs.reserve(bodies.size());
-  for (const auto& [name, body] : bodies) {
-    Expected<json::Value> parsed = json::parse(body);
-    if (!parsed.ok()) {
-      return Error{"wal-recovered document does not parse: " + parsed.error().message,
-                   name};
+Status YProvService::hydrate(std::map<std::string, std::string> bodies) {
+  // Parse on every pool worker: slice s parses a contiguous index range
+  // into pre-sized slots and frees each body once parsed, so the bodies
+  // and their parsed documents are never both held in full.
+  std::vector<std::map<std::string, std::string>::iterator> entries;
+  entries.reserve(bodies.size());
+  for (auto it = bodies.begin(); it != bodies.end(); ++it) entries.push_back(it);
+  std::vector<std::pair<std::string, prov::Document>> docs(entries.size());
+  const std::size_t slices = std::max<std::size_t>(
+      1, std::min<std::size_t>(common::ThreadPool::shared().worker_count(), entries.size()));
+  std::vector<std::optional<Error>> slice_error(slices);
+  fan_out(slices, [&](std::size_t s) {
+    const std::size_t end = (s + 1) * entries.size() / slices;
+    for (std::size_t i = s * entries.size() / slices; i < end; ++i) {
+      auto& [name, body] = *entries[i];
+      Expected<json::Value> parsed = json::parse(body);
+      std::string().swap(body);
+      if (!parsed.ok()) {
+        slice_error[s] = Error{
+            "wal-recovered document does not parse: " + parsed.error().message, name};
+        return;
+      }
+      Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
+      if (!doc.ok()) {
+        slice_error[s] = Error{
+            "wal-recovered document is not PROV-JSON: " + doc.error().message, name};
+        return;
+      }
+      docs[i] = {name, std::move(doc.value())};
     }
-    Expected<prov::Document> doc = prov::from_prov_json(parsed.value());
-    if (!doc.ok()) {
-      return Error{"wal-recovered document is not PROV-JSON: " + doc.error().message,
-                   name};
-    }
-    docs.emplace_back(name, std::move(doc.value()));
+  });
+  // Slices cover ascending index ranges and each stops at its own first
+  // failure, so the first failed slice holds the lowest failing index.
+  for (std::optional<Error>& error : slice_error) {
+    if (error.has_value()) return std::move(*error);
   }
   Expected<IngestStats> applied = apply_batch(docs);
   if (!applied.ok()) return applied.error();
@@ -815,7 +845,7 @@ Expected<YProvService> YProvService::load(const std::string& dir) {
   YProvService service;
   {
     const auto locks = service.lock_all_exclusive();
-    Status hydrated = service.hydrate(recovered.value().documents);
+    Status hydrated = service.hydrate(std::move(recovered.value().documents));
     if (!hydrated.ok()) return hydrated.error();
   }
   return service;

@@ -142,8 +142,9 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// The state recovery produced at open(); documents are moved out by the
-  /// caller that hydrates a service from them.
+  /// The state recovery produced at open(). A service's attach_wal() moves
+  /// `documents` out to hydrate from them, leaving the map empty, so the
+  /// store does not hold a second copy of every body.
   [[nodiscard]] RecoveredState& recovered() { return recovered_; }
 
   /// Appends one record, honoring the fsync policy, and returns its LSN.

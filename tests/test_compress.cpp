@@ -113,14 +113,53 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
-TEST(Crc32, IncrementalMatchesOneShot) {
-  Bytes data(1000);
-  std::mt19937_64 rng(7);
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Bytes data(n);
+  std::mt19937_64 rng(seed);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  return data;
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  const Bytes data = random_bytes(1000, 7);
   std::uint32_t inc = 0;
   inc = crc32_update(inc, ByteView(data).subspan(0, 400));
   inc = crc32_update(inc, ByteView(data).subspan(400));
   EXPECT_EQ(inc, crc32(data));
+}
+
+/// The textbook one-byte-per-step CRC-32, computed bit by bit: the
+/// reference the table-driven kernel must match exactly.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length through several 8-byte blocks plus every tail length,
+  // starting at each of the 8 offsets a word load can be misaligned by.
+  const Bytes data = random_bytes(1024 + 8, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc32(ByteView(data).subspan(offset, len)),
+                crc32_bitwise(data.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  const Bytes data = random_bytes(257, 13);
+  const std::uint32_t whole = crc32_bitwise(data.data(), data.size());
+  ASSERT_EQ(crc32(data), whole);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t head = crc32_update(0, ByteView(data).subspan(0, split));
+    EXPECT_EQ(crc32_update(head, ByteView(data).subspan(split)), whole) << "split " << split;
+  }
 }
 
 // --------------------------------------------------------------------- rle

@@ -611,39 +611,106 @@ TEST_F(WalTest, PreWalIndexJsonStoreIsRejected) {
 
 // ---------------------------------------------------------------- hydration
 
-TEST_F(WalTest, HydrationRejectsADanglingRelationInLoadAndAttach) {
-  // A stored document whose relation names an undeclared element. load()
-  // and attach_wal() hydrate through the same apply path, so both refuse
-  // the store with the same cause, and attach_wal keeps no partial state.
-  prov::Document dangling;
-  dangling.declare_namespace("ex", "http://example.org/ex#");
-  dangling.add_entity("ex:only");
-  dangling.used("ex:ghost", "ex:only");
-  ASSERT_TRUE(replace_store(dir(), {{"good", prov::to_prov_json_string(tiny_doc("g"), false)},
-                                    {"bad", prov::to_prov_json_string(dangling, false)}})
-                  .ok());
+/// A document whose relation names an undeclared element: it parses, but
+/// ingest refuses it.
+prov::Document dangling_doc() {
+  prov::Document doc;
+  doc.declare_namespace("ex", "http://example.org/ex#");
+  doc.add_entity("ex:only");
+  doc.used("ex:ghost", "ex:only");
+  return doc;
+}
 
-  auto loaded = graphstore::YProvService::load(dir());
-  ASSERT_FALSE(loaded.ok());
+/// load() and attach_wal() at 1 and 4 shards all refuse the store at `dir`
+/// with one cause, and attach_wal keeps no partial state. Returns the cause.
+std::string expect_every_hydration_fails_alike(const std::string& dir) {
+  auto loaded = graphstore::YProvService::load(dir);
+  EXPECT_FALSE(loaded.ok());
+  if (loaded.ok()) return "";
   const std::string cause = loaded.error().to_string();
-  EXPECT_NE(cause.find("relation endpoint missing"), std::string::npos) << cause;
-  EXPECT_NE(cause.find("bad"), std::string::npos) << cause;
-
   for (const std::size_t shards : {1u, 4u}) {
     graphstore::YProvService service(shards);
-    const Status attached = service.attach_wal(dir());
-    ASSERT_FALSE(attached.ok()) << shards << " shard(s)";
+    const Status attached = service.attach_wal(dir);
+    EXPECT_FALSE(attached.ok()) << shards << " shard(s)";
+    if (attached.ok()) continue;
     EXPECT_EQ(attached.error().to_string(), cause) << shards << " shard(s)";
     EXPECT_FALSE(service.wal_attached());
     EXPECT_EQ(service.document_count(), 0u) << shards << " shard(s)";
     EXPECT_EQ(service.graph().node_count(), 0u) << shards << " shard(s)";
   }
+  return cause;
+}
+
+TEST_F(WalTest, HydrationRejectsADanglingRelationInLoadAndAttach) {
+  // load() and attach_wal() hydrate through the same apply path, so both
+  // refuse the store with the same cause.
+  ASSERT_TRUE(replace_store(dir(), {{"good", prov::to_prov_json_string(tiny_doc("g"), false)},
+                                    {"bad", prov::to_prov_json_string(dangling_doc(), false)}})
+                  .ok());
+  const std::string cause = expect_every_hydration_fails_alike(dir());
+  EXPECT_NE(cause.find("relation endpoint missing"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("bad"), std::string::npos) << cause;
+}
+
+TEST_F(WalTest, HydrationNamesTheFirstDanglingDocumentInInputOrder) {
+  // Two bad documents whose names sort in the opposite order to their home
+  // shards at 4 shards: walking shards in order would meet the later name
+  // first. Every shard count must name the earlier one, as a serial apply
+  // does.
+  const graphstore::YProvService probe(4);
+  std::string first;
+  std::string second;
+  for (char a = '0'; a <= '9' && second.empty(); ++a) {
+    for (char b = static_cast<char>(a + 1); b <= '9'; ++b) {
+      const std::string x = std::string("bad") + a;
+      const std::string y = std::string("bad") + b;
+      if (probe.graph().shard_for_scope(x) > probe.graph().shard_for_scope(y)) {
+        first = x;
+        second = y;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(second.empty()) << "no name pair crosses shards";
+  std::map<std::string, std::string> bodies;
+  for (int i = 0; i < 8; ++i) {
+    bodies["good" + std::to_string(i)] =
+        prov::to_prov_json_string(tiny_doc("g" + std::to_string(i)), false);
+  }
+  bodies[first] = prov::to_prov_json_string(dangling_doc(), false);
+  bodies[second] = prov::to_prov_json_string(dangling_doc(), false);
+  ASSERT_TRUE(replace_store(dir(), bodies).ok());
+
+  const std::string cause = expect_every_hydration_fails_alike(dir());
+  EXPECT_NE(cause.find("relation endpoint missing"), std::string::npos) << cause;
+  EXPECT_NE(cause.find(first), std::string::npos) << cause;
+  EXPECT_EQ(cause.find(second), std::string::npos) << cause;
+}
+
+TEST_F(WalTest, HydrationNamesTheFirstUnparseableBodyInInputOrder) {
+  // Two unparseable bodies at opposite ends of the input, with good
+  // documents between them, so a parse fanned out over several slices
+  // meets them in different slices.
+  std::map<std::string, std::string> bodies;
+  for (int i = 0; i < 32; ++i) {
+    bodies["doc" + std::to_string(100 + i)] =
+        prov::to_prov_json_string(tiny_doc("d" + std::to_string(i)), false);
+  }
+  bodies["aaa-broken"] = "{\"entity\": ";
+  bodies["zzz-broken"] = "not json at all";
+  ASSERT_TRUE(replace_store(dir(), bodies).ok());
+
+  const std::string cause = expect_every_hydration_fails_alike(dir());
+  EXPECT_NE(cause.find("does not parse"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("aaa-broken"), std::string::npos) << cause;
+  EXPECT_EQ(cause.find("zzz-broken"), std::string::npos) << cause;
 }
 
 TEST_F(WalTest, LoadAndAttachAtAnyShardCountServeIdenticalResponses) {
   testkit::Rng rng(20250613);
   std::map<std::string, std::string> bodies;
-  for (int i = 0; i < 12; ++i) {
+  // Enough documents that every pool worker parses several.
+  for (int i = 0; i < 240; ++i) {
     bodies["doc" + std::to_string(i)] =
         prov::to_prov_json_string(testkit::gen_prov_document(rng), false);
   }
