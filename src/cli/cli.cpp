@@ -1,10 +1,14 @@
 #include "provml/cli/cli.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <csignal>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "provml/common/strings.hpp"
 #include "provml/compress/container.hpp"
@@ -15,7 +19,6 @@
 #include "provml/explorer/stats.hpp"
 #include "provml/explorer/subgraph.hpp"
 #include "provml/explorer/timeline.hpp"
-#include "provml/graphstore/query.hpp"
 #include "provml/graphstore/service.hpp"
 #include "provml/json/parse.hpp"
 #include "provml/json/write.hpp"
@@ -34,27 +37,62 @@
 namespace provml::cli {
 namespace {
 
-/// Splits args into positionals and --key value options.
-struct ParsedArgs {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
+/// One option a command declares: `--name value`, or a bare `--name` flag.
+struct Option {
+  std::string_view name;
+  bool flag = false;
 };
 
-ParsedArgs parse_args(const std::vector<std::string>& args, std::size_t start) {
+struct ParsedArgs {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string, std::less<>> options;  ///< flags map to ""
+
+  [[nodiscard]] const std::string* option(std::string_view name) const {
+    const auto it = options.find(name);
+    return it == options.end() ? nullptr : &it->second;
+  }
+};
+
+/// Splits args into positionals and the command's declared options. An
+/// undeclared option, or a valued one given no value, is an error naming it.
+Expected<ParsedArgs> parse_args(const std::vector<std::string>& args,
+                                const std::vector<Option>& declared) {
   ParsedArgs parsed;
-  for (std::size_t i = start; i < args.size(); ++i) {
-    if (args[i].size() > 2 && args[i].substr(0, 2) == "--") {
-      const std::string key = args[i].substr(2);
-      if (i + 1 < args.size()) {
-        parsed.options[key] = args[++i];
-      } else {
-        parsed.options[key] = "";
-      }
-    } else {
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    if (args[i].size() <= 2 || args[i].compare(0, 2, "--") != 0) {
       parsed.positional.push_back(args[i]);
+      continue;
+    }
+    const std::string key = args[i].substr(2);
+    const auto option = std::find_if(declared.begin(), declared.end(),
+                                     [&key](const Option& o) { return o.name == key; });
+    if (option == declared.end()) return Error{"unknown option " + args[i], args[0]};
+    if (option->flag) {
+      parsed.options[key] = "";
+    } else if (i + 1 < args.size()) {
+      parsed.options[key] = args[++i];
+    } else {
+      return Error{"option " + args[i] + " needs a value", args[0]};
     }
   }
   return parsed;
+}
+
+/// The value of numeric option `--name`, or `fallback` when it is absent.
+/// Every numeric option goes through here: anything but an integer in
+/// [lo, hi] is an error naming the option and its range.
+Expected<std::size_t> number_option(const ParsedArgs& args, std::string_view name,
+                                    std::size_t fallback, std::int64_t lo,
+                                    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  const std::string* text = args.option(name);
+  if (text == nullptr) return fallback;
+  const auto value = strings::to_int64(*text);
+  if (value && *value >= lo && *value <= hi) return static_cast<std::size_t>(*value);
+  const std::string range = hi == std::numeric_limits<std::int64_t>::max()
+                                ? ">= " + std::to_string(lo)
+                                : std::to_string(lo) + ".." + std::to_string(hi);
+  return Error{"invalid value " + *text + " (expected " + range + ")",
+               "--" + std::string(name)};
 }
 
 int fail(std::ostream& err, const std::string& message) {
@@ -75,39 +113,29 @@ int cmd_validate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   return 2;
 }
 
-int cmd_stats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 1) return fail(err, "stats takes one file");
-  auto doc = prov::read_prov_json_file(args.positional[0]);
-  if (!doc.ok()) return fail(err, doc.error().to_string());
-  out << explorer::to_string(explorer::document_stats(doc.value()));
-  return 0;
-}
-
 int cmd_convert(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 1) return fail(err, "convert takes one file");
-  const auto to = args.options.find("to");
-  if (to == args.options.end()) return fail(err, "convert requires --to provn|dot");
+  const std::string* to = args.option("to");
+  if (to == nullptr) return fail(err, "convert requires --to provn|dot");
   auto doc = prov::read_prov_json_file(args.positional[0]);
   if (!doc.ok()) return fail(err, doc.error().to_string());
   std::string rendered;
-  if (to->second == "provn") {
+  if (*to == "provn") {
     rendered = prov::to_prov_n(doc.value());
-  } else if (to->second == "dot") {
+  } else if (*to == "dot") {
     rendered = prov::to_dot(doc.value());
-  } else if (to->second == "ttl" || to->second == "turtle") {
+  } else if (*to == "ttl" || *to == "turtle") {
     rendered = prov::to_turtle(doc.value());
-  } else if (to->second == "xml") {
+  } else if (*to == "xml") {
     rendered = prov::to_prov_xml(doc.value());
   } else {
-    return fail(err, "unknown target format: " + to->second);
+    return fail(err, "unknown target format: " + *to);
   }
-  const auto out_path = args.options.find("out");
-  if (out_path != args.options.end()) {
+  if (const std::string* out_path = args.option("out")) {
     Status s = compress::write_file_bytes(
-        out_path->second,
-        {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
+        *out_path, {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
     if (!s.ok()) return fail(err, s.error().to_string());
-    out << "wrote " << out_path->second << "\n";
+    out << "wrote " << *out_path << "\n";
   } else {
     out << rendered;
   }
@@ -133,75 +161,23 @@ int cmd_lineage(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     return fail(err, "element not found: " + args.positional[1]);
   }
   auto direction = explorer::LineageDirection::kUpstream;
-  const auto dir = args.options.find("direction");
-  if (dir != args.options.end()) {
-    if (dir->second == "down") direction = explorer::LineageDirection::kDownstream;
-    else if (dir->second != "up") return fail(err, "direction must be up or down");
+  if (const std::string* dir = args.option("direction")) {
+    if (*dir == "down") direction = explorer::LineageDirection::kDownstream;
+    else if (*dir != "up") return fail(err, "direction must be up or down");
   }
-  std::size_t depth = 0;
-  const auto depth_opt = args.options.find("depth");
-  if (depth_opt != args.options.end()) depth = std::stoul(depth_opt->second);
+  const auto depth = number_option(args, "depth", 0, 0);
+  if (!depth.ok()) return fail(err, depth.error().to_string());
   for (const explorer::LineageHop& hop :
-       explorer::lineage(doc.value(), args.positional[1], direction, depth)) {
+       explorer::lineage(doc.value(), args.positional[1], direction, depth.value())) {
     out << std::string(hop.depth * 2, ' ') << hop.id << "  (via " << hop.via << ")\n";
   }
   return 0;
 }
 
-int cmd_ingest(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() < 2) {
-    return fail(err, "ingest takes a store dir and name=file pairs");
-  }
-  const std::string& store_dir = args.positional[0];
-  // Mutations go through the WAL, so every ingested document is durable
-  // the moment its line prints — a crash mid-batch keeps the prefix.
-  graphstore::YProvService service;
-  Status attached = service.attach_wal(store_dir);
-  if (!attached.ok()) return fail(err, attached.error().to_string());
-  for (std::size_t i = 1; i < args.positional.size(); ++i) {
-    const std::string& pair = args.positional[i];
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos) return fail(err, "expected name=file, got: " + pair);
-    auto doc = prov::read_prov_json_file(pair.substr(eq + 1));
-    if (!doc.ok()) return fail(err, doc.error().to_string());
-    Status s = service.put_document(pair.substr(0, eq), doc.value());
-    if (!s.ok()) return fail(err, s.error().to_string());
-    out << "ingested " << pair.substr(0, eq) << "\n";
-  }
-  Status s = service.wal_compact();  // fold the fresh tail into a snapshot
-  if (!s.ok()) return fail(err, s.error().to_string());
-  return 0;
-}
-
-int cmd_list(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 1) return fail(err, "list takes a store dir");
-  auto service = graphstore::YProvService::load(args.positional[0]);
-  if (!service.ok()) return fail(err, service.error().to_string());
-  for (const std::string& name : service.value().list_documents()) {
-    out << name << "\n";
-  }
-  return 0;
-}
-
-int cmd_get(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 2) return fail(err, "get takes a store dir and a name");
-  auto service = graphstore::YProvService::load(args.positional[0]);
-  if (!service.ok()) return fail(err, service.error().to_string());
-  const auto element = args.options.find("element");
-  graphstore::Request request;
-  request.method = "GET";
-  request.path = "/api/v0/documents/" + args.positional[1] +
-                 (element != args.options.end() ? "/elements/" + element->second : "");
-  const graphstore::Response response = service.value().handle(request);
-  out << response.body << "\n";
-  return response.status == 200 ? 0 : 4;
-}
-
 int cmd_pack(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 2) return fail(err, "pack takes input and output paths");
-  std::string codec = "lzss";
-  const auto codec_opt = args.options.find("codec");
-  if (codec_opt != args.options.end()) codec = codec_opt->second;
+  const std::string* codec_opt = args.option("codec");
+  const std::string codec = codec_opt != nullptr ? *codec_opt : "lzss";
   Status s = compress::pack_file(args.positional[0], args.positional[1], codec);
   if (!s.ok()) return fail(err, s.error().to_string());
   out << "packed " << args.positional[0] << " -> " << args.positional[1] << " (" << codec
@@ -239,15 +215,15 @@ int cmd_subgraph(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   auto doc = prov::read_prov_json_file(args.positional[0]);
   if (!doc.ok()) return fail(err, doc.error().to_string());
   explorer::SubgraphOptions options;
-  const auto hops = args.options.find("hops");
-  if (hops != args.options.end()) options.max_hops = std::stoul(hops->second);
+  const auto hops = number_option(args, "hops", options.max_hops, 0);
+  if (!hops.ok()) return fail(err, hops.error().to_string());
+  options.max_hops = hops.value();
   auto sub = explorer::extract_subgraph(doc.value(), args.positional[1], options);
   if (!sub.ok()) return fail(err, sub.error().to_string());
-  const auto out_path = args.options.find("out");
-  if (out_path != args.options.end()) {
-    Status s = prov::write_prov_json_file(out_path->second, sub.value());
+  if (const std::string* out_path = args.option("out")) {
+    Status s = prov::write_prov_json_file(*out_path, sub.value());
     if (!s.ok()) return fail(err, s.error().to_string());
-    out << "wrote " << out_path->second << "\n";
+    out << "wrote " << *out_path << "\n";
   } else {
     out << prov::to_prov_json_string(sub.value()) << "\n";
   }
@@ -265,92 +241,6 @@ int cmd_constraints(const ParsedArgs& args, std::ostream& out, std::ostream& err
   }
   out << prov::to_string(violations);
   return 2;
-}
-
-/// One result cell as text: node columns render as the bound node's
-/// prov_id, aggregate/property columns as their JSON value (bare strings
-/// unquoted, everything else serialized).
-std::string render_cell(const graphstore::PropertyGraph& graph,
-                        const graphstore::ResultSet::Column& column,
-                        const json::Value& cell) {
-  if (column.is_node) {
-    const graphstore::Node* n =
-        graph.node(static_cast<graphstore::NodeId>(cell.as_int()));
-    const json::Value* prov_id =
-        n != nullptr ? n->properties.find("prov_id") : nullptr;
-    return prov_id != nullptr && prov_id->is_string() ? prov_id->as_string() : "?";
-  }
-  return cell.is_string() ? cell.as_string() : json::write(cell);
-}
-
-void print_plan(const graphstore::QueryPlan& plan, std::ostream& out) {
-  out << "anchor=";
-  switch (plan.anchor) {
-    case graphstore::QueryPlan::Anchor::kScanAll: out << "scan_all"; break;
-    case graphstore::QueryPlan::Anchor::kLabel: out << "label:" << plan.label; break;
-    case graphstore::QueryPlan::Anchor::kProperty:
-      out << "property:" << plan.label << "." << plan.property_key;
-      break;
-  }
-  out << " reversed=" << (plan.reversed ? "true" : "false")
-      << " candidates=" << plan.estimated_candidates
-      << " est_rows=" << plan.estimated_rows << " est_cost=" << plan.estimated_cost
-      << "\n";
-}
-
-int cmd_query(const ParsedArgs& args, bool explain, std::size_t page_size,
-              std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 2) {
-    return fail(err, "query takes a store dir and a MATCH query");
-  }
-  auto service = graphstore::YProvService::load(args.positional[0]);
-  if (!service.ok()) return fail(err, service.error().to_string());
-  if (explain) {
-    auto query = graphstore::parse_query(args.positional[1]);
-    if (!query.ok()) return fail(err, query.error().to_string());
-    print_plan(graphstore::explain_query(service.value().graph(), query.value()), out);
-    return 0;
-  }
-  if (page_size > 0) {
-    // Streamed: rows print as each page is pulled, so the first results
-    // appear after O(page) work even on huge matches.
-    auto cursor =
-        graphstore::QueryCursor::open(service.value().graph(), args.positional[1]);
-    if (!cursor.ok()) return fail(err, cursor.error().to_string());
-    const std::vector<graphstore::ResultSet::Column>& columns =
-        cursor.value().columns();
-    std::size_t total = 0;
-    while (!cursor.value().done()) {
-      for (const std::vector<json::Value>& row : cursor.value().next(page_size)) {
-        bool first = true;
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-          if (!first) out << "  ";
-          first = false;
-          out << columns[c].name << "="
-              << render_cell(service.value().graph(), columns[c], row[c]);
-        }
-        out << "\n";
-        ++total;
-      }
-    }
-    out << total << " row(s)\n";
-    return 0;
-  }
-  auto table = graphstore::execute_query(service.value().graph(), args.positional[1]);
-  if (!table.ok()) return fail(err, table.error().to_string());
-  for (const std::vector<json::Value>& row : table.value().rows) {
-    bool first = true;
-    for (std::size_t c = 0; c < table.value().columns.size(); ++c) {
-      if (!first) out << "  ";
-      first = false;
-      const graphstore::ResultSet::Column& column = table.value().columns[c];
-      out << column.name << "="
-          << render_cell(service.value().graph(), column, row[c]);
-    }
-    out << "\n";
-  }
-  out << table.value().rows.size() << " row(s)\n";
-  return 0;
 }
 
 /// Shared: harvest every document of a store into a RunDatabase.
@@ -409,10 +299,9 @@ int cmd_predict(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     if (!value) return fail(err, "non-numeric feature value in " + args.positional[i]);
     query[args.positional[i].substr(0, eq)] = *value;
   }
-  std::size_t k = 3;
-  const auto k_opt = args.options.find("k");
-  if (k_opt != args.options.end()) k = std::stoul(k_opt->second);
-  auto prediction = db.value().predict(query, args.positional[1], k);
+  const auto k = number_option(args, "k", 3, 1);
+  if (!k.ok()) return fail(err, k.error().to_string());
+  auto prediction = db.value().predict(query, args.positional[1], k.value());
   if (!prediction.ok()) return fail(err, prediction.error().to_string());
   out << args.positional[1] << " = " << prediction.value().value
       << "  (confidence " << prediction.value().confidence << ", neighbors:";
@@ -453,8 +342,7 @@ int cmd_report(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 int cmd_crate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 1) return fail(err, "crate takes a directory");
   rocrate::CrateBuilder builder(args.positional[0]);
-  const auto name = args.options.find("name");
-  if (name != args.options.end()) builder.set_name(name->second);
+  if (const std::string* name = args.option("name")) builder.set_name(*name);
   Status s = builder.add_all();
   if (!s.ok()) return fail(err, s.error().to_string());
   s = builder.write();
@@ -464,116 +352,228 @@ int cmd_crate(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// ---------------------------------------------------------------- remote
-// `--url http://host:port` switches ingest/query/stats from the local
-// store to a running `yprov serve` instance, via the provml_net client.
+// ----------------------------------------------------------------- store
+// Store commands speak the yProv REST routes whether they run against a
+// store dir or against `yprov serve` at --url: each builds (method,
+// target, body) requests for one net::Exchange, and prints the replies
+// with one row renderer and one error path. Locally the exchange is an
+// in-process YProvHttpApp over the store, so both modes share the
+// service's router and print the same output.
 
-int cmd_ingest_remote(const std::string& url, const ParsedArgs& args, std::ostream& out,
-                      std::ostream& err) {
-  if (args.positional.empty()) {
-    return fail(err, "ingest --url takes name=file pairs (no store dir)");
-  }
-  auto parsed = net::parse_url(url);
-  if (!parsed.ok()) return fail(err, parsed.error().to_string());
-  net::HttpClient client(parsed.value().host, parsed.value().port);
-  for (const std::string& pair : args.positional) {
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos) return fail(err, "expected name=file, got: " + pair);
-    const std::string name = pair.substr(0, eq);
-    auto doc = prov::read_prov_json_file(pair.substr(eq + 1));
-    if (!doc.ok()) return fail(err, doc.error().to_string());
-    auto response = client.put(parsed.value().base_path + "/api/v0/documents/" + name,
-                               prov::to_prov_json_string(doc.value(), /*pretty=*/false));
-    if (!response.ok()) return fail(err, response.error().to_string());
-    if (response.value().status != 201) {
-      return fail(err, "server rejected " + name + ": " + response.value().body);
-    }
-    out << "ingested " << name << " -> " << url << "\n";
-  }
-  return 0;
+/// Where a store command's requests go, and the local app (null under
+/// --url) whose WAL an ingest compacts when it is done.
+struct Endpoint {
+  std::string location;  ///< the store dir or the URL
+  net::Exchange exchange;
+  std::shared_ptr<net::YProvHttpApp> app;
+};
+
+/// The operands of a store command: its positionals after the store dir,
+/// whose place --url takes.
+std::vector<std::string> store_operands(const ParsedArgs& args) {
+  const bool skip = args.option("url") == nullptr && !args.positional.empty();
+  return {args.positional.begin() + (skip ? 1 : 0), args.positional.end()};
 }
 
-/// Prints one wire-format row object (cells keyed by column name) as
-/// `name=value` pairs on a line.
-void print_remote_row(const json::Value& row, std::ostream& out) {
-  if (!row.is_object()) return;
+/// Opens the service at --url, or else the store dir that leads the
+/// positionals: attached to its WAL (created if missing) when `writable`,
+/// otherwise loaded read-only.
+Expected<Endpoint> open_endpoint(const ParsedArgs& args, bool writable) {
+  Endpoint endpoint;
+  if (const std::string* url = args.option("url")) {
+    auto parsed = net::parse_url(*url);
+    if (!parsed.ok()) return parsed.error();
+    auto client = std::make_shared<net::HttpClient>(parsed.value().host, parsed.value().port);
+    endpoint.location = *url;
+    endpoint.exchange = [client, base = parsed.value().base_path](
+                            const std::string& method, const std::string& target,
+                            const std::string& body) {
+      return client->request(method, base + target, body);
+    };
+    return endpoint;
+  }
+  if (args.positional.empty()) return Error{"expected a store dir or --url", ""};
+  endpoint.location = args.positional.front();
+  graphstore::YProvService service;
+  if (writable) {
+    // Every PUT is in the WAL before its reply, so a crash mid-batch keeps
+    // the acknowledged prefix.
+    Status attached = service.attach_wal(endpoint.location);
+    if (!attached.ok()) return attached.error();
+  } else {
+    auto loaded = graphstore::YProvService::load(endpoint.location);
+    if (!loaded.ok()) return loaded.error();
+    service = std::move(loaded.value());
+  }
+  endpoint.app = std::make_shared<net::YProvHttpApp>(std::move(service));
+  endpoint.exchange = [app = endpoint.app](const std::string& method,
+                                           const std::string& target,
+                                           const std::string& body)
+      -> Expected<net::HttpResponse> {
+    net::HttpRequest request;
+    request.method = method;
+    request.target = target;
+    request.body = body;
+    return app->handle(request);
+  };
+  return endpoint;
+}
+
+/// Sends one request and returns the reply when its status is `ok`;
+/// otherwise prints the one store-command error line (the transport
+/// failure, or the status and the service's message) and returns nullopt.
+std::optional<net::HttpResponse> send(const Endpoint& endpoint, const std::string& method,
+                                      const std::string& target, const std::string& body,
+                                      int ok, std::ostream& err) {
+  Expected<net::HttpResponse> reply = endpoint.exchange(method, target, body);
+  if (!reply.ok()) {
+    fail(err, reply.error().to_string());
+    return std::nullopt;
+  }
+  if (reply.value().status != ok) {
+    // The same shape as a refused QueryPager page: "<method> <target>: HTTP
+    // <status> <service's message>".
+    fail(err, method + " " + target + ": HTTP " + std::to_string(reply.value().status) +
+                  " " + reply.value().body);
+    return std::nullopt;
+  }
+  return std::move(reply.value());
+}
+
+/// Prints a JSON object's fields as `key=value` joined by `separator`:
+/// bare strings unquoted, everything else as JSON. Query rows (cells keyed
+/// by column) and explained plans both print this way.
+void print_fields(const json::Value& object, const char* separator, std::ostream& out) {
+  if (!object.is_object()) return;
   bool first = true;
-  for (const auto& [var, value] : row.as_object()) {
-    if (!first) out << "  ";
+  for (const auto& [key, value] : object.as_object()) {
+    if (!first) out << separator;
     first = false;
-    out << var << "=" << (value.is_string() ? value.as_string() : json::write(value));
+    out << key << "=" << (value.is_string() ? value.as_string() : json::write(value));
   }
   out << "\n";
 }
 
-int cmd_query_remote(const std::string& url, const std::string& query, bool explain,
-                     std::size_t page_size, std::ostream& out, std::ostream& err) {
-  auto parsed = net::parse_url(url);
-  if (!parsed.ok()) return fail(err, parsed.error().to_string());
-  net::HttpClient client(parsed.value().host, parsed.value().port);
-  if (page_size > 0 && !explain) {
-    // Cursor protocol: fetch and print page by page. A 410 here means a
-    // write invalidated the cursor mid-iteration; rerun the query.
-    net::QueryPager pager(client, parsed.value().base_path, query, page_size);
-    std::size_t total = 0;
-    while (!pager.done()) {
-      auto page = pager.next_page();
-      if (!page.ok()) return fail(err, page.error().to_string());
-      const json::Value* rows = page.value().find("rows");
-      if (rows == nullptr || !rows->is_array()) {
-        return fail(err, "malformed query page");
-      }
-      for (const json::Value& row : rows->as_array()) {
-        print_remote_row(row, out);
-        ++total;
-      }
+/// A document name must travel as one plain path segment, or the request
+/// would address a different document (or none) than the one named.
+bool addressable_name(const std::string& name) {
+  return !name.empty() && std::none_of(name.begin(), name.end(), [](char c) {
+    const auto u = static_cast<unsigned char>(c);
+    return u < 0x20 || u == 0x7f || std::isspace(u) != 0 ||
+           std::string_view("/?#%").find(c) != std::string_view::npos;
+  });
+}
+
+int cmd_ingest(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  const std::vector<std::string> pairs = store_operands(args);
+  if (pairs.empty()) return fail(err, "ingest takes a store dir (or --url) and name=file pairs");
+  for (const std::string& pair : pairs) {
+    const std::size_t eq = pair.find('=');
+    if (eq == std::string::npos) return fail(err, "expected name=file, got: " + pair);
+    if (!addressable_name(pair.substr(0, eq))) {
+      return fail(err, "invalid document name: " + pair.substr(0, eq));
     }
-    out << total << " row(s)\n";
-    return 0;
   }
-  const char* route = explain ? "/api/v0/explain" : "/api/v0/query";
-  auto response = client.post(parsed.value().base_path + route, query);
-  if (!response.ok()) return fail(err, response.error().to_string());
-  if (response.value().status != 200) {
-    return fail(err, "query failed: " + response.value().body);
+  auto endpoint = open_endpoint(args, /*writable=*/true);
+  if (!endpoint.ok()) return fail(err, endpoint.error().to_string());
+  for (const std::string& pair : pairs) {
+    const std::string name = pair.substr(0, pair.find('='));
+    auto doc = prov::read_prov_json_file(pair.substr(name.size() + 1));
+    if (!doc.ok()) return fail(err, doc.error().to_string());
+    if (!send(endpoint.value(), "PUT", "/api/v0/documents/" + name,
+              prov::to_prov_json_string(doc.value(), /*pretty=*/false), 201, err)) {
+      return 1;
+    }
+    out << "ingested " << name << " -> " << endpoint.value().location << "\n";
   }
-  auto body = json::parse(response.value().body);
+  if (endpoint.value().app == nullptr) return 0;
+  Status s = endpoint.value().app->service().wal_compact();  // fold the tail into a snapshot
+  return s.ok() ? 0 : fail(err, s.error().to_string());
+}
+
+int cmd_list(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  if (!store_operands(args).empty()) return fail(err, "list takes a store dir (or --url)");
+  auto endpoint = open_endpoint(args, /*writable=*/false);
+  if (!endpoint.ok()) return fail(err, endpoint.error().to_string());
+  const auto reply = send(endpoint.value(), "GET", "/api/v0/documents", "", 200, err);
+  if (!reply) return 1;
+  auto body = json::parse(reply->body);
   if (!body.ok()) return fail(err, body.error().to_string());
-  if (explain) {
-    if (!body.value().is_object()) return fail(err, "malformed explain response");
-    bool first = true;
-    for (const auto& [key, value] : body.value().as_object()) {
-      if (!first) out << " ";
-      first = false;
-      out << key << "=" << (value.is_string() ? value.as_string() : json::write(value));
-    }
-    out << "\n";
-    return 0;
+  const json::Value* names = body.value().find("documents");
+  if (names == nullptr || !names->is_array()) return fail(err, "malformed document list");
+  for (const json::Value& name : names->as_array()) {
+    out << (name.is_string() ? name.as_string() : json::write(name)) << "\n";
   }
-  const json::Value* rows = body.value().find("rows");
-  if (rows == nullptr || !rows->is_array()) return fail(err, "malformed query response");
-  for (const json::Value& row : rows->as_array()) {
-    print_remote_row(row, out);
-  }
-  out << rows->as_array().size() << " row(s)\n";
   return 0;
 }
 
-int cmd_stats_remote(const std::string& url, const ParsedArgs& args, std::ostream& out,
-                     std::ostream& err) {
-  if (args.positional.size() != 1) {
-    return fail(err, "stats --url takes a document name");
+/// GETs `/api/v0/documents/<name><route>` and prints the reply's body;
+/// a refusal exits with `refused`.
+int print_document_route(const ParsedArgs& args, const std::string& name,
+                         const std::string& route, int refused, std::ostream& out,
+                         std::ostream& err) {
+  if (!addressable_name(name)) return fail(err, "invalid document name: " + name);
+  auto endpoint = open_endpoint(args, /*writable=*/false);
+  if (!endpoint.ok()) return fail(err, endpoint.error().to_string());
+  const auto reply =
+      send(endpoint.value(), "GET", "/api/v0/documents/" + name + route, "", 200, err);
+  if (!reply) return refused;
+  out << reply->body << "\n";
+  return 0;
+}
+
+int cmd_get(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  const std::vector<std::string> operands = store_operands(args);
+  if (operands.size() != 1) return fail(err, "get takes a store dir (or --url) and a name");
+  const std::string* element = args.option("element");
+  return print_document_route(args, operands[0],
+                              element != nullptr ? "/elements/" + *element : "",
+                              /*refused=*/4, out, err);
+}
+
+/// `stats <file>` counts a PROV-JSON file's elements; `stats --url <svc>
+/// <name>` asks the service about a stored document.
+int cmd_stats(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  if (args.positional.size() != 1) return fail(err, "stats takes one file (or --url and a name)");
+  if (args.option("url") != nullptr) {
+    return print_document_route(args, args.positional[0], "/stats", /*refused=*/1, out, err);
   }
-  auto parsed = net::parse_url(url);
-  if (!parsed.ok()) return fail(err, parsed.error().to_string());
-  net::HttpClient client(parsed.value().host, parsed.value().port);
-  auto response = client.get(parsed.value().base_path + "/api/v0/documents/" +
-                             args.positional[0] + "/stats");
-  if (!response.ok()) return fail(err, response.error().to_string());
-  if (response.value().status != 200) {
-    return fail(err, "stats failed: " + response.value().body);
+  auto doc = prov::read_prov_json_file(args.positional[0]);
+  if (!doc.ok()) return fail(err, doc.error().to_string());
+  out << explorer::to_string(explorer::document_stats(doc.value()));
+  return 0;
+}
+
+int cmd_query(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
+  const std::vector<std::string> operands = store_operands(args);
+  if (operands.size() != 1) {
+    return fail(err, "query takes a store dir (or --url) and a MATCH query");
   }
-  out << response.value().body << "\n";
+  const auto page_size = number_option(args, "page-size", 0, 1);
+  if (!page_size.ok()) return fail(err, page_size.error().to_string());
+  auto endpoint = open_endpoint(args, /*writable=*/false);
+  if (!endpoint.ok()) return fail(err, endpoint.error().to_string());
+  if (args.option("explain") != nullptr) {
+    const auto reply = send(endpoint.value(), "POST", "/api/v0/explain", operands[0], 200, err);
+    if (!reply) return 1;
+    auto plan = json::parse(reply->body);
+    if (!plan.ok()) return fail(err, plan.error().to_string());
+    print_fields(plan.value(), " ", out);
+    return 0;
+  }
+  // Rows print as each page arrives; without --page-size the whole result
+  // is one page. A 410 means a write invalidated the cursor mid-iteration.
+  net::QueryPager pager(endpoint.value().exchange, operands[0], page_size.value());
+  std::size_t total = 0;
+  while (!pager.done()) {
+    auto page = pager.next_page();
+    if (!page.ok()) return fail(err, page.error().to_string());
+    const json::Value* rows = page.value().find("rows");
+    if (rows == nullptr || !rows->is_array()) return fail(err, "malformed query page");
+    for (const json::Value& row : rows->as_array()) print_fields(row, "  ", out);
+    total += rows->as_array().size();
+  }
+  out << total << " row(s)\n";
   return 0;
 }
 
@@ -589,79 +589,47 @@ void serve_signal_handler(int) {
 int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (!args.positional.empty()) return fail(err, "serve takes only options");
   net::ServerConfig config;
-  const auto port = args.options.find("port");
-  if (port != args.options.end()) {
-    const auto value = strings::to_int64(port->second);
-    if (!value || *value < 0 || *value > 65535) return fail(err, "invalid --port");
-    config.port = static_cast<std::uint16_t>(*value);
-  }
-  const auto threads = args.options.find("threads");
-  if (threads != args.options.end()) {
-    const auto value = strings::to_int64(threads->second);
-    if (!value || *value < 1 || *value > 256) return fail(err, "invalid --threads");
-    config.threads = static_cast<unsigned>(*value);
-  }
-  const auto max_conns = args.options.find("max-connections");
-  if (max_conns != args.options.end()) {
-    const auto value = strings::to_int64(max_conns->second);
-    if (!value || *value < 1) return fail(err, "invalid --max-connections (>= 1)");
-    config.max_connections = static_cast<std::size_t>(*value);
-  }
-
   net::YProvHttpApp::Options app_options;
-  const auto cache = args.options.find("cache");
-  if (cache != args.options.end()) {
-    const auto value = strings::to_int64(cache->second);
-    if (!value || *value < 0 || *value > 1000000) return fail(err, "invalid --cache");
-    app_options.cache_capacity = static_cast<std::size_t>(*value);
-  }
-
+  wal::Options wal_options;
+  const auto port = number_option(args, "port", config.port, 0, 65535);
+  const auto threads = number_option(args, "threads", config.threads, 1, 256);
+  const auto max_connections =
+      number_option(args, "max-connections", config.max_connections, 1);
+  const auto cache = number_option(args, "cache", app_options.cache_capacity, 0, 1000000);
   // Graph shard count: stripes the service's lock so writers to different
   // documents stop contending. Rounded up to a power of two.
-  std::size_t shards = 1;
-  const auto shards_opt = args.options.find("shards");
-  if (shards_opt != args.options.end()) {
-    const auto value = strings::to_int64(shards_opt->second);
-    if (!value || *value < 1 || *value > 256) return fail(err, "invalid --shards (1..256)");
-    shards = static_cast<std::size_t>(*value);
+  const auto shards = number_option(args, "shards", 1, 1, 256);
+  const auto segment_bytes =
+      number_option(args, "wal-segment-bytes", wal_options.segment_bytes, 1024);
+  for (const Expected<std::size_t>* n :
+       {&port, &threads, &max_connections, &cache, &shards, &segment_bytes}) {
+    if (!n->ok()) return fail(err, n->error().to_string());
   }
+  config.port = static_cast<std::uint16_t>(port.value());
+  config.threads = static_cast<unsigned>(threads.value());
+  config.max_connections = max_connections.value();
+  app_options.cache_capacity = cache.value();
+  wal_options.segment_bytes = segment_bytes.value();
 
-  // Durability options. --snapshot used to mean "load at start, save on
-  // clean shutdown" — which silently lost every write on a crash. It is
-  // now an alias for --data-dir, so both spellings get the WAL: every
-  // acknowledged PUT/DELETE is on disk before the response leaves.
-  std::string data_dir;
-  const auto data_dir_opt = args.options.find("data-dir");
-  const auto snapshot = args.options.find("snapshot");
-  if (data_dir_opt != args.options.end()) {
-    data_dir = data_dir_opt->second;
-  } else if (snapshot != args.options.end()) {
-    data_dir = snapshot->second;
-  }
-  wal::Options wal_options;
-  const auto fsync_mode = args.options.find("fsync");
-  if (fsync_mode != args.options.end()) {
-    const auto policy = wal::parse_fsync_policy(fsync_mode->second);
+  // Durability: with --data-dir every acknowledged PUT/DELETE is in the
+  // WAL before the response leaves.
+  const std::string* data_dir = args.option("data-dir");
+  if (const std::string* fsync_mode = args.option("fsync")) {
+    const auto policy = wal::parse_fsync_policy(*fsync_mode);
     if (!policy.ok()) return fail(err, "invalid --fsync (every_write|interval|none)");
     wal_options.fsync_policy = policy.value();
   }
-  const auto segment_bytes = args.options.find("wal-segment-bytes");
-  if (segment_bytes != args.options.end()) {
-    const auto value = strings::to_int64(segment_bytes->second);
-    if (!value || *value < 1024) return fail(err, "invalid --wal-segment-bytes (>= 1024)");
-    wal_options.segment_bytes = static_cast<std::size_t>(*value);
-  }
-  if (data_dir.empty() &&
-      (fsync_mode != args.options.end() || segment_bytes != args.options.end())) {
+  if (data_dir == nullptr &&
+      (args.option("fsync") != nullptr || args.option("wal-segment-bytes") != nullptr)) {
     return fail(err, "--fsync/--wal-segment-bytes require --data-dir");
   }
 
-  net::YProvHttpApp app(graphstore::YProvService(shards), app_options);
-  if (!data_dir.empty()) {
-    Status attached = app.service().attach_wal(data_dir, wal_options);
+  net::YProvHttpApp app(graphstore::YProvService(shards.value()), app_options);
+  if (data_dir != nullptr) {
+    Status attached = app.service().attach_wal(*data_dir, wal_options);
     if (!attached.ok()) return fail(err, attached.error().to_string());
     out << "loaded " << app.service().document_count() << " document(s) from "
-        << data_dir << " (wal lsn " << app.service().wal_stats().last_lsn << ")\n";
+        << *data_dir << " (wal lsn " << app.service().wal_stats().last_lsn << ")\n";
   }
 
   net::HttpServer server(config,
@@ -692,17 +660,51 @@ int cmd_serve(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   (void)std::signal(SIGTERM, previous_term);
   g_serving.store(nullptr);
 
-  if (!data_dir.empty()) {
+  if (data_dir != nullptr) {
     // Everything acknowledged is already in the log; compaction just folds
     // the tail into a snapshot so the next start replays less.
     Status compacted = app.service().wal_compact();
     if (!compacted.ok()) return fail(err, compacted.error().to_string());
-    out << "store compacted at " << data_dir << " (wal lsn "
+    out << "store compacted at " << *data_dir << " (wal lsn "
         << app.service().wal_stats().last_lsn << ")\n";
   }
   const net::ServerStats stats = server.stats();
   out << "server stopped after " << stats.requests_handled << " request(s)\n";
   return 0;
+}
+
+/// One `yprov` command: its handler and the options it declares.
+struct Command {
+  std::string_view name;
+  int (*run)(const ParsedArgs&, std::ostream&, std::ostream&);
+  std::vector<Option> options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table{
+      {"validate", cmd_validate, {}},
+      {"stats", cmd_stats, {{"url"}}},
+      {"convert", cmd_convert, {{"to"}, {"out"}}},
+      {"constraints", cmd_constraints, {}},
+      {"timeline", cmd_timeline, {}},
+      {"subgraph", cmd_subgraph, {{"hops"}, {"out"}}},
+      {"diff", cmd_diff, {}},
+      {"lineage", cmd_lineage, {{"direction"}, {"depth"}}},
+      {"ingest", cmd_ingest, {{"url"}}},
+      {"list", cmd_list, {{"url"}}},
+      {"get", cmd_get, {{"url"}, {"element"}}},
+      {"query", cmd_query, {{"url"}, {"page-size"}, {"explain", /*flag=*/true}}},
+      {"serve", cmd_serve,
+       {{"port"}, {"threads"}, {"shards"}, {"data-dir"}, {"cache"}, {"max-connections"},
+        {"fsync"}, {"wal-segment-bytes"}}},
+      {"fit", cmd_fit, {}},
+      {"predict", cmd_predict, {{"k"}}},
+      {"report", cmd_report, {}},
+      {"crate", cmd_crate, {{"name"}}},
+      {"pack", cmd_pack, {{"codec"}}},
+      {"unpack", cmd_unpack, {}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -712,39 +714,38 @@ std::string usage() {
          "commands:\n"
          "  validate <file>                     check a PROV-JSON document\n"
          "  stats <file>                        element/relation counts\n"
-         "  stats --url <svc> <name>            stats of a served document\n"
+         "  stats --url <svc> <name>            node count of a served document\n"
          "  convert <file> --to provn|dot|ttl|xml re-serialize a document\n"
          "  constraints <file>                  PROV-CONSTRAINTS checks\n"
          "  timeline <file>                     Gantt view of run activities\n"
          "  subgraph <file> <id> [--hops N] [--out <path>]\n"
          "  diff <a> <b>                        compare two run documents\n"
          "  lineage <file> <id> [--direction up|down] [--depth N]\n"
-         "  ingest <store> <name=file>...       add documents to a store\n"
-         "  ingest --url <svc> <name=file>...   upload documents over HTTP\n"
+         "store commands (<store> is a store dir, or --url <svc> for a running\n"
+         "`yprov serve`; both send the same requests and print the same output):\n"
+         "  ingest <store> <name=file>...       add documents\n"
          "  list <store>                        list stored documents\n"
-         "  get <store> <name> [--element <id>] query the store\n"
+         "  get <store> <name> [--element <id>] fetch a document or one element\n"
          "  query <store> '<MATCH ...>' [--explain] [--page-size N]\n"
          "                                      pattern query over the graph\n"
          "                                      (aggregates, *1..n paths,\n"
          "                                      ORDER BY/SKIP/LIMIT);\n"
          "                                      --explain prints the plan;\n"
-         "                                      --page-size streams rows N at\n"
-         "                                      a time through a cursor\n"
-         "  query --url <svc> '<MATCH ...>' [--explain] [--page-size N]\n"
-         "                                      the same over HTTP (pages\n"
-         "                                      via the cursor protocol)\n"
+         "                                      --page-size pulls rows N at a\n"
+         "                                      time through a server cursor\n"
          "  serve [--port N] [--threads K] [--shards N] [--data-dir DIR] [--cache N]\n"
          "        [--max-connections N] [--fsync every_write|interval|none]\n"
          "        [--wal-segment-bytes N]\n"
          "                                      run the yProv HTTP service;\n"
-         "                                      --data-dir persists writes via a\n"
-         "                                      WAL (--snapshot is an alias)\n"
+         "                                      --data-dir persists writes via a WAL\n"
          "  fit <store>                         fit the scaling law to stored runs\n"
-         "  predict <store> <output> k=v...     k-NN forecast from stored runs\n"
+         "  predict <store> <output> k=v... [--k N]\n"
+         "                                      k-NN forecast from stored runs\n"
          "  report <store>                      tabulate run outputs\n"
          "  crate <dir> [--name <n>]            wrap a directory as an RO-Crate\n"
          "  pack <in> <out> [--codec lzss]      compress a file\n"
-         "  unpack <in> <out>                   decompress a container\n";
+         "  unpack <in> <out>                   decompress a container\n"
+         "A misspelled or undeclared option is an error.\n";
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -752,67 +753,13 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     out << usage();
     return args.empty() ? 1 : 0;
   }
-  const std::string& command = args[0];
-  const ParsedArgs parsed = parse_args(args, 1);
-  if (command == "validate") return cmd_validate(parsed, out, err);
-  if (command == "constraints") return cmd_constraints(parsed, out, err);
-  if (command == "timeline") return cmd_timeline(parsed, out, err);
-  if (command == "subgraph") return cmd_subgraph(parsed, out, err);
-  if (command == "query") {
-    // --explain is a bare flag (no value), so pull it out before the
-    // generic key/value parse would eat the following positional.
-    std::vector<std::string> rest(args.begin() + 1, args.end());
-    bool explain = false;
-    for (auto it = rest.begin(); it != rest.end();) {
-      if (*it == "--explain") {
-        explain = true;
-        it = rest.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    const ParsedArgs qargs = parse_args(rest, 0);
-    std::size_t page_size = 0;  // 0 = one-shot (no paging)
-    const auto page_opt = qargs.options.find("page-size");
-    if (page_opt != qargs.options.end()) {
-      const auto value = strings::to_int64(page_opt->second);
-      if (!value || *value < 1) return fail(err, "invalid --page-size (>= 1)");
-      page_size = static_cast<std::size_t>(*value);
-    }
-    if (qargs.options.count("url") != 0) {
-      if (qargs.positional.size() != 1) {
-        return fail(err, "query --url takes a MATCH query (no store dir)");
-      }
-      return cmd_query_remote(qargs.options.at("url"), qargs.positional[0], explain,
-                              page_size, out, err);
-    }
-    return cmd_query(qargs, explain, page_size, out, err);
+  for (const Command& command : commands()) {
+    if (command.name != args[0]) continue;
+    const Expected<ParsedArgs> parsed = parse_args(args, command.options);
+    if (!parsed.ok()) return fail(err, parsed.error().to_string());
+    return command.run(parsed.value(), out, err);
   }
-  if (command == "serve") return cmd_serve(parsed, out, err);
-  if (command == "fit") return cmd_fit(parsed, out, err);
-  if (command == "predict") return cmd_predict(parsed, out, err);
-  if (command == "report") return cmd_report(parsed, out, err);
-  if (command == "crate") return cmd_crate(parsed, out, err);
-  if (command == "stats") {
-    if (parsed.options.count("url") != 0) {
-      return cmd_stats_remote(parsed.options.at("url"), parsed, out, err);
-    }
-    return cmd_stats(parsed, out, err);
-  }
-  if (command == "convert") return cmd_convert(parsed, out, err);
-  if (command == "diff") return cmd_diff(parsed, out, err);
-  if (command == "lineage") return cmd_lineage(parsed, out, err);
-  if (command == "ingest") {
-    if (parsed.options.count("url") != 0) {
-      return cmd_ingest_remote(parsed.options.at("url"), parsed, out, err);
-    }
-    return cmd_ingest(parsed, out, err);
-  }
-  if (command == "list") return cmd_list(parsed, out, err);
-  if (command == "get") return cmd_get(parsed, out, err);
-  if (command == "pack") return cmd_pack(parsed, out, err);
-  if (command == "unpack") return cmd_unpack(parsed, out, err);
-  err << "unknown command: " << command << "\n" << usage();
+  err << "unknown command: " << args[0] << "\n" << usage();
   return 1;
 }
 

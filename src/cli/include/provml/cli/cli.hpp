@@ -5,19 +5,23 @@
 //
 //   yprov validate <file.provjson>
 //   yprov stats    <file.provjson>
-//   yprov convert  <file.provjson> --to provn|dot [--out <path>]
+//   yprov convert  <file.provjson> --to provn|dot|ttl|xml [--out <path>]
 //   yprov diff     <a.provjson> <b.provjson>
 //   yprov lineage  <file.provjson> <element-id> [--direction up|down] [--depth N]
 //   yprov ingest   <store-dir> <name=file.provjson>...
 //   yprov list     <store-dir>
 //   yprov get      <store-dir> <name> [--element <id>]
+//   yprov stats    --url <svc> <name>
+//   yprov query    <store-dir> '<MATCH ...>' [--explain] [--page-size N]
 //   yprov pack     <file> <out> [--codec lzss|rle|shuffle+lzss]
 //   yprov unpack   <file> <out>
-//   yprov serve    [--port N] [--threads K] [--snapshot DIR]
+//   yprov serve    [--port N] [--threads K] [--data-dir DIR] ...
 //
-// `ingest`, `query`, and `stats` also accept `--url http://host:port` to
-// talk to a running `yprov serve` instance over HTTP instead of a local
-// store directory.
+// The store commands (ingest, list, get, query) take `--url
+// http://host:port` in place of the store dir. Either way they send
+// the same REST requests — to an in-process service over the store dir, or
+// to a running `yprov serve` — and print the same output. Each command
+// declares its options; an undeclared one is an error.
 #pragma once
 
 #include <ostream>

@@ -302,12 +302,8 @@ Expected<HttpResponse> HttpClient::request(const std::string& method,
 
 // ------------------------------------------------------------- QueryPager
 
-QueryPager::QueryPager(HttpClient& client, std::string base_path, std::string query,
-                       std::size_t page_size)
-    : client_(client),
-      base_path_(std::move(base_path)),
-      query_(std::move(query)),
-      page_size_(page_size) {}
+QueryPager::QueryPager(Exchange exchange, std::string query, std::size_t page_size)
+    : exchange_(std::move(exchange)), query_(std::move(query)), page_size_(page_size) {}
 
 Expected<json::Value> QueryPager::next_page() {
   if (done_) return Error{"query pager exhausted", query_};
@@ -317,23 +313,23 @@ Expected<json::Value> QueryPager::next_page() {
   if (!started_) {
     json::Object envelope;
     envelope.set("query", query_);
-    envelope.set("page_size", static_cast<std::int64_t>(page_size_));
+    if (page_size_ > 0) envelope.set("page_size", static_cast<std::int64_t>(page_size_));
     body = json::write(json::Value(std::move(envelope)));
-    target = base_path_ + "/api/v0/query";
+    target = "/api/v0/query";
   } else {
     json::Object envelope;
     envelope.set("cursor", cursor_);
     body = json::write(json::Value(std::move(envelope)));
-    target = base_path_ + "/api/v0/query/next";
+    target = "/api/v0/query/next";
   }
 
-  Expected<HttpResponse> response = client_.post(target, body);
+  Expected<HttpResponse> response = exchange_("POST", target, body);
   if (!response.ok()) return response.error();
   if (response.value().status != 200) {
     done_ = true;
-    return Error{"query page failed: HTTP " + std::to_string(response.value().status) +
-                     " " + response.value().body,
-                 target};
+    return Error{"HTTP " + std::to_string(response.value().status) + " " +
+                     response.value().body,
+                 "POST " + target};
   }
   Expected<json::Value> page = json::parse(response.value().body);
   if (!page.ok()) return page.error();

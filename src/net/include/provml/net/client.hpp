@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -89,12 +90,20 @@ class HttpClient {
   int fd_ = -1;  ///< pooled keep-alive connection, -1 when closed
 };
 
+/// One request/response exchange with the yProv routes: (method, target,
+/// body) in, response out. A lambda over HttpClient::request reaches a
+/// served instance; one over YProvHttpApp::handle reaches an in-process
+/// store, so callers drive both through the same code.
+using Exchange = std::function<Expected<HttpResponse>(
+    const std::string& method, const std::string& target, const std::string& body)>;
+
 /// Client half of the service's cursor protocol: iterates a query's
-/// result page by page over `POST <base>/api/v0/query` (JSON envelope)
-/// and `POST <base>/api/v0/query/next`, so a caller touches one page of
-/// rows at a time regardless of result size.
+/// result page by page over `POST /api/v0/query` (JSON envelope) and
+/// `POST /api/v0/query/next`, so a caller touches one page of rows at a
+/// time regardless of result size. A page size of 0 asks for the whole
+/// result as one page.
 ///
-///   QueryPager pager(client, "", "MATCH (n) RETURN n", 100);
+///   QueryPager pager(exchange, "MATCH (n) RETURN n", 100);
 ///   while (!pager.done()) {
 ///     auto page = pager.next_page();          // {"columns","rows","done",...}
 ///     if (!page.ok()) { ... 410 = cursor invalidated by a write ... }
@@ -104,8 +113,7 @@ class HttpClient {
 /// on TTL/LRU pressure; callers restart the query when that happens.
 class QueryPager {
  public:
-  QueryPager(HttpClient& client, std::string base_path, std::string query,
-             std::size_t page_size);
+  QueryPager(Exchange exchange, std::string query, std::size_t page_size);
 
   /// Fetches the next page. The returned object always carries "columns"
   /// and "rows"; done() turns true when the server reported the last
@@ -116,8 +124,7 @@ class QueryPager {
   [[nodiscard]] bool done() const { return done_; }
 
  private:
-  HttpClient& client_;
-  std::string base_path_;
+  Exchange exchange_;
   std::string query_;
   std::size_t page_size_;
   std::string cursor_;  ///< empty until the first page arrives

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include "provml/cli/cli.hpp"
 #include "provml/compress/container.hpp"
@@ -319,6 +325,93 @@ TEST_F(CliTest, ArgumentErrors) {
   EXPECT_EQ(std::get<0>(run({"convert", "x"})), 1);          // missing --to
   EXPECT_EQ(std::get<0>(run({"ingest", "store", "no_equals"})), 1);
   EXPECT_EQ(std::get<0>(run({"list", "/nonexistent/store"})), 1);
+
+  // Numeric options go through one checked parser: a malformed value is an
+  // error line and exit 1, never an uncaught exception.
+  const std::string doc = write_run_doc("args", 0.1);
+  const std::string store = (dir_ / "argstore").string();
+  ASSERT_EQ(std::get<0>(run({"ingest", store, "args=" + doc})), 0);
+  const std::vector<std::vector<std::string>> bad_numbers = {
+      {"lineage", doc, "ex:artifact/ckpt", "--depth", "x"},
+      {"subgraph", doc, "ex:artifact/ckpt", "--hops", "x"},
+      {"predict", store, "final_loss", "lr=0.1", "--k", "x"},
+      {"query", store, "MATCH (e:Entity) RETURN e", "--page-size", "0"},
+      {"serve", "--port", "70000"},
+  };
+  for (const std::vector<std::string>& args : bad_numbers) {
+    auto [code, out, err] = run(args);
+    EXPECT_EQ(code, 1) << args[0];
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+    EXPECT_NE(err.find("invalid value"), std::string::npos) << err;
+  }
+
+  // Every command rejects an option it does not declare, naming it.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"list", store, "--urll", "x"},
+                                             {"query", store, "MATCH (e) RETURN e", "--page", "2"},
+                                             {"validate", doc, "--explain"},
+                                             {"get", store, "args", "--element"}}) {
+    auto [code, out, err] = run(args);
+    EXPECT_EQ(code, 1) << args[0];
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+    EXPECT_NE(err.find("--"), std::string::npos) << err;
+  }
+  EXPECT_NE(std::get<2>(run({"list", store, "--urll", "x"})).find("unknown option --urll"),
+            std::string::npos);
+}
+
+TEST_F(CliTest, DocumentNamesMustBeOnePlainPathSegment) {
+  const std::string doc = write_run_doc("names", 0.1);
+  const std::string store = (dir_ / "nstore").string();
+  for (const std::string name : {"a?b", "a#b", "a%20b", "a b", "a/b", "a\tb"}) {
+    auto [code, out, err] = run({"ingest", store, name + "=" + doc});
+    EXPECT_EQ(code, 1) << name;
+    EXPECT_NE(err.find("invalid document name"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(fs::exists(store));  // refused before the store is touched
+
+  ASSERT_EQ(std::get<0>(run({"ingest", store, "ok=" + doc})), 0);
+  auto [code, out, err] = run({"get", store, "ok?x"});
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("invalid document name"), std::string::npos) << err;
+}
+
+/// Runs the CLI in a child process and returns its exit status, or -1 if
+/// it is still running after `timeout` (the child is then killed). `serve`
+/// blocks for as long as it serves, so this tells a refusal from a server.
+int exit_status_within(const std::vector<std::string>& args, std::chrono::seconds timeout) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::ostringstream out;
+    std::ostringstream err;
+    ::_exit(run_cli(args, out, err));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(CliTest, ServeRefusesUnknownOptionsInsteadOfServingFromMemory) {
+  // A misspelled --data-dir (or the retired --snapshot) must not start a
+  // server that keeps every acknowledged write in memory only.
+  for (const std::string option : {"--snapshot", "--data_dir"}) {
+    const fs::path data = dir_ / ("data" + option);
+    ASSERT_EQ(exit_status_within({"serve", option, data.string()}, std::chrono::seconds(10)), 1)
+        << option;
+    EXPECT_FALSE(fs::exists(data));
+    auto [code, out, err] = run({"serve", option, data.string()});
+    EXPECT_EQ(code, 1);
+    EXPECT_NE(err.find("unknown option " + option), std::string::npos) << err;
+    EXPECT_EQ(out.find("listening"), std::string::npos) << out;
+  }
 }
 
 }  // namespace

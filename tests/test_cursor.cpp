@@ -263,7 +263,12 @@ TEST(HttpCursor, EndToEndPagingHealthCountersAndWritevBatches) {
   EXPECT_EQ(health_body.find("cursors_open")->as_int(), 1);
 
   // QueryPager drains the rest transparently; concat equals one-shot.
-  net::QueryPager pager(client, "", kAllEntities, 3);
+  const net::Exchange exchange = [&client](const std::string& method,
+                                           const std::string& target,
+                                           const std::string& body) {
+    return client.request(method, target, body);
+  };
+  net::QueryPager pager(exchange, kAllEntities, 3);
   json::Array collected;
   while (!pager.done()) {
     auto page = pager.next_page();
@@ -275,7 +280,7 @@ TEST(HttpCursor, EndToEndPagingHealthCountersAndWritevBatches) {
   EXPECT_TRUE(json::Value(std::move(collected)) == *reference.find("rows"));
 
   // A write between pages turns the open (undrained) cursor to 410.
-  net::QueryPager stale(client, "", kAllEntities, 2);
+  net::QueryPager stale(exchange, kAllEntities, 2);
   ASSERT_TRUE(stale.next_page().ok());
   ASSERT_FALSE(stale.done());
   const std::string doc = R"({"prefix": {"ex": "http://example.org/"},

@@ -494,6 +494,119 @@ TEST(RemoteCli, IngestQueryStatsOverHttp) {
   fs::remove_all(dir);
 }
 
+/// Runs the CLI in-process, returning {exit status, stdout}.
+std::pair<int, std::string> run_cli(const std::vector<std::string>& args) {
+  std::ostringstream out, err;
+  const int code = cli::run_cli(args, out, err);
+  return {code, out.str()};
+}
+
+TEST(RemoteCli, StoreCommandsPrintTheSameLocallyAndOverHttp) {
+  const fs::path dir = fs::temp_directory_path() / "provml_net_cli_parity";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::string> pairs;
+  for (int i = 0; i < 3; ++i) {
+    const std::string n = std::to_string(i);
+    prov::Document doc;
+    doc.declare_namespace("ex", "http://example.org/");
+    doc.add_activity("ex:train" + n);
+    doc.add_entity("ex:data" + n);
+    doc.used("ex:train" + n, "ex:data" + n);
+    for (int k = 0; k <= i; ++k) {
+      doc.add_entity("ex:model" + n + "_" + std::to_string(k));
+      doc.was_generated_by("ex:model" + n + "_" + std::to_string(k), "ex:train" + n);
+    }
+    const std::string file = (dir / ("doc" + n + ".provjson")).string();
+    ASSERT_TRUE(prov::write_prov_json_file(file, doc).ok());
+    pairs.push_back("run" + n + "=" + file);
+  }
+
+  YProvHttpApp app;
+  HttpServer server(ServerConfig{}, [&app](const HttpRequest& r) { return app.handle(r); });
+  ASSERT_TRUE(server.start().ok());
+  const std::string url = "http://127.0.0.1:" + std::to_string(server.port());
+  const std::string store = (dir / "store").string();
+
+  std::vector<std::string> local_ingest{"ingest", store};
+  std::vector<std::string> remote_ingest{"ingest", "--url", url};
+  local_ingest.insert(local_ingest.end(), pairs.begin(), pairs.end());
+  remote_ingest.insert(remote_ingest.end(), pairs.begin(), pairs.end());
+  ASSERT_EQ(run_cli(local_ingest).first, 0);
+  ASSERT_EQ(run_cli(remote_ingest).first, 0);
+
+  const std::string all = "MATCH (e:Entity) RETURN e";
+  const std::string top =
+      "MATCH (e:Entity)-[:wasGeneratedBy]->(a:Activity) RETURN a, count(e) "
+      "ORDER BY count(e) DESC LIMIT 2";
+  // Each case is the arguments after the store dir / --url.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"list", {}},
+      {"get", {"run1"}},
+      {"get", {"run1", "--element", "ex:model1_0"}},
+      {"get", {"missing"}},
+      {"query", {all}},
+      {"query", {all, "--page-size", "1"}},
+      {"query", {all, "--page-size", "7"}},
+      {"query", {all, "--explain"}},
+      {"query", {top}},
+      {"query", {top, "--page-size", "1"}},
+      {"query", {"MATCH bogus"}},
+  };
+  for (const auto& [command, rest] : cases) {
+    std::vector<std::string> local{command, store};
+    std::vector<std::string> remote{command, "--url", url};
+    local.insert(local.end(), rest.begin(), rest.end());
+    remote.insert(remote.end(), rest.begin(), rest.end());
+    const auto local_result = run_cli(local);
+    const auto remote_result = run_cli(remote);
+    const std::string label = command + (rest.empty() ? "" : " " + rest.back());
+    EXPECT_EQ(local_result.first, remote_result.first) << label;
+    EXPECT_EQ(local_result.second, remote_result.second) << label;
+  }
+  // Spot-check that the pairs compared real output, not two empty failures.
+  EXPECT_EQ(run_cli({"list", store}).second, "run0\nrun1\nrun2\n");
+  EXPECT_NE(run_cli({"query", store, all, "--page-size", "1"}).second.find("9 row(s)"),
+            std::string::npos);
+  EXPECT_EQ(run_cli({"query", store, top}).second,
+            "a=ex:train2  count(e)=3\na=ex:train1  count(e)=2\n2 row(s)\n");
+  EXPECT_EQ(run_cli({"get", store, "missing"}).first, 4);
+
+  server.stop();
+  fs::remove_all(dir);
+}
+
+TEST(RemoteCli, UnaddressableDocumentNamesAreRefusedBeforeAnyRequest) {
+  const fs::path dir = fs::temp_directory_path() / "provml_net_cli_names";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  prov::Document doc;
+  doc.declare_namespace("ex", "http://example.org/");
+  doc.add_entity("ex:model");
+  const std::string file = (dir / "doc.provjson").string();
+  ASSERT_TRUE(prov::write_prov_json_file(file, doc).ok());
+
+  YProvHttpApp app;
+  HttpServer server(ServerConfig{}, [&app](const HttpRequest& r) { return app.handle(r); });
+  ASSERT_TRUE(server.start().ok());
+  const std::string url = "http://127.0.0.1:" + std::to_string(server.port());
+
+  // The server would strip "?b" and store the document as "a".
+  for (const std::string name : {"a?b", "a#b", "a%2Fb", "a b"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run_cli({"ingest", "--url", url, name + "=" + file}, out, err), 1) << name;
+    EXPECT_NE(err.str().find("invalid document name"), std::string::npos) << err.str();
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_cli({"get", "--url", url, "a?b"}, out, err), 1);
+  EXPECT_NE(err.str().find("invalid document name"), std::string::npos) << err.str();
+  EXPECT_EQ(app.counters().requests, 0u);  // nothing was sent
+  EXPECT_EQ(app.service().document_count(), 0u);
+
+  server.stop();
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------- testkit-driven coverage
 
 /// Generated requests fed in random fragments always parse back to the
